@@ -16,7 +16,6 @@ from .allocation import (
     allocate,
     build_contingency,
     evaluate,
-    true_class,
     true_classes,
 )
 from .dataset import (
@@ -33,10 +32,9 @@ from .dataset import (
 from .logit import (
     EncodingSpec,
     LogitModel,
-    encode,
+    encode_rows,
     fit_logit,
     log_likelihood,
-    predict_proba,
     predict_proba_rows,
 )
 from .pipeline import PipelineConfig, StageError, run_pipeline
@@ -45,14 +43,13 @@ from .som import (
     Codebook,
     SomConfig,
     TwoLevelClustering,
-    assign,
-    cluster_of,
-    masked_distance,
+    assign_all,
+    cluster_labels,
     quantization_error,
     reduce_codebook,
     train_som,
 )
 from .synth import GeneratorSpec, generate
-from .varselect import AnovaReport, build_dummy_design, fit_additive_anova, select_variables
+from .varselect import AnovaReport, fit_additive_anova, select_variables
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import MISSING_CODE, CategoricalTable, ContinuousTable
 from .logit import LogitModel, predict_proba_rows
-from .som import Codebook, TwoLevelClustering, cluster_labels, cluster_of
+from .som import Codebook, TwoLevelClustering, cluster_labels
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,10 @@ def allocate(
     )
 
 
-def true_class(clustering: Codebook | TwoLevelClustering, x: np.ndarray) -> int:
-    """Reference class of one continuous row (NaN-marked): nearest code-vector."""
-    return cluster_of(clustering, x)
-
-
 def true_classes(
     clustering: Codebook | TwoLevelClustering, data: ContinuousTable
 ) -> np.ndarray:
+    """Reference class per continuous row: its nearest code-vector's cluster."""
     return cluster_labels(clustering, data)
 
 

@@ -8,16 +8,18 @@ stage-tagged message and return a nonzero code.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import allocation, logit, profiles, som, varselect
+from . import allocation, logit, som, varselect
 from .dataset import (
+    DataError,
     Schema,
+    _read_csv,
     load_categorical,
     load_continuous,
     load_dataset,
@@ -25,7 +27,14 @@ from .dataset import (
     save_dataset,
     save_labels,
 )
-from .pipeline import PipelineConfig, StageError, run_pipeline, _save_allocations
+from .pipeline import (
+    PipelineConfig,
+    StageError,
+    _save_allocations,
+    describe,
+    run_pipeline,
+    train_clustering,
+)
 from .synth import GeneratorSpec, generate
 
 
@@ -62,18 +71,15 @@ def _cmd_train(args) -> int:
     schema = Schema.load(args.schema)
     table = load_continuous(args.continuous, schema)
     cfg = som.SomConfig(units=args.units, epochs=args.epochs, seed=args.seed)
-    level1 = som.train_som(table, cfg, dimensions=schema.continuous_names)
+    clustering, qe = train_clustering(
+        table, schema.continuous_names, cfg, args.macro_units, args.out
+    )
+    note = f"{args.units} units"
     if args.macro_units is not None:
-        clustering = som.reduce_codebook(level1, args.macro_units, cfg)
-        note = f"{args.units} units -> {args.macro_units} macro clusters"
+        note += f" -> {args.macro_units} macro clusters"
         if not clustering.contiguous:
             print("warning: macro clusters are not contiguous along the string",
                   file=sys.stderr)
-    else:
-        clustering = level1
-        note = f"{args.units} units"
-    som.save_clustering(clustering, args.out)
-    qe = som.quantization_error(level1, table)
     print(f"trained {note}; quantization error {qe:.6g}")
     return 0
 
@@ -82,15 +88,20 @@ def _cmd_describe(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     schema = Schema.load(args.schema)
-    dataset = load_dataset(args.continuous, args.categorical, schema)
     clustering = som.load_clustering(args.clustering)
+    if isinstance(clustering, som.TwoLevelClustering):
+        level1 = clustering.level1
+    else:
+        level1 = clustering
+    if level1.dimensions != schema.continuous_names:
+        raise DataError(
+            f"{args.clustering}: clustering dimensions {list(level1.dimensions)} "
+            f"do not match the schema's continuous variables "
+            f"{list(schema.continuous_names)}"
+        )
+    dataset = load_dataset(args.continuous, args.categorical, schema)
     labels = som.cluster_labels(clustering, dataset.continuous)
-    profs = profiles.describe_clusters(dataset, labels, clustering.n_clusters)
-    profiles.save_continuous_stats_csv(profs, schema, outdir / "cluster_stats.csv")
-    profiles.save_modality_csv(profs, schema, outdir / "cluster_modalities.csv")
-    (outdir / "cluster_profiles.svg").write_text(
-        profiles.mean_profile_svg(profs, schema), encoding="utf-8"
-    )
+    describe(dataset, labels, clustering.n_clusters, outdir)
     print(f"described {clustering.n_clusters} clusters in {outdir}")
     return 0
 
@@ -122,6 +133,13 @@ def _cmd_fit(args) -> int:
 def _cmd_allocate(args) -> int:
     schema = Schema.load(args.schema)
     model = logit.load_model(args.model)
+    expected = zip(model.encoding.variables, model.encoding.modalities)
+    for got, want in itertools.zip_longest(schema.categorical_vars, expected):
+        if got != want:
+            raise DataError(
+                f"{args.schema}: categorical variable {(got or want)[0]!r} does "
+                "not match the model's encoding (names, order or modalities)"
+            )
     table = load_categorical(args.categorical, schema, allow_missing=True)
     result = allocation.allocate(model, table, mode=args.mode, seed=args.seed)
     _save_allocations(result, args.out)
@@ -131,15 +149,17 @@ def _cmd_allocate(args) -> int:
 
 def _read_label_column(path) -> np.ndarray:
     """Accept either a plain label CSV or an allocations CSV."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
+    header, rows = _read_csv(path)
     if len(header) == 1:
-        return load_labels(path)
-    if "assigned" in header:
+        col = 0
+    elif "assigned" in header:
         col = header.index("assigned")
-        return np.array([int(r[col]) for r in rows[1:]], dtype=np.int64)
-    raise ValueError(f"{path}: expected a label column or an allocations file")
+    else:
+        raise DataError(f"{path}: expected a label column or an allocations file")
+    try:
+        return np.array([int(r[col]) for r in rows], dtype=np.int64)
+    except (ValueError, IndexError):
+        raise DataError(f"{path}: malformed label column") from None
 
 
 def _cmd_evaluate(args) -> int:

@@ -143,10 +143,6 @@ class ContinuousTable:
     def n_cols(self) -> int:
         return self.values.shape[1]
 
-    def nan_values(self) -> np.ndarray:
-        """Values with NaN at unobserved cells (the single-vector convention)."""
-        return np.where(self.observed, self.values, np.nan)
-
 
 @dataclass(frozen=True)
 class CategoricalTable:

@@ -81,27 +81,6 @@ class EncodingSpec:
         )
 
 
-def encode(row, spec: EncodingSpec) -> np.ndarray:
-    """Feature vector for one categorical row (MISSING_CODE cells allowed)."""
-    row = np.asarray(row, dtype=np.int64)
-    if row.shape != (len(spec.variables),):
-        raise ValueError("row length must match the encoding's variable count")
-    y = np.zeros(spec.width)
-    if spec.intercept:
-        y[0] = 1.0
-    for j, (offset, mods) in enumerate(zip(spec.block_offsets, spec.modalities)):
-        code = int(row[j])
-        if code == MISSING_CODE:
-            continue
-        if not 0 <= code < len(mods):
-            raise ValueError(
-                f"variable {spec.variables[j]!r}: modality index {code} out of range"
-            )
-        if code < len(mods) - 1:
-            y[offset + code] = 1.0
-    return y
-
-
 def encode_rows(rows: CategoricalTable | np.ndarray, spec: EncodingSpec) -> np.ndarray:
     """(N, d) feature matrix, vectorized over rows."""
     codes = rows.codes if isinstance(rows, CategoricalTable) else np.asarray(rows)
@@ -338,12 +317,6 @@ def log_likelihood(
     design = encode_rows(rows, m.encoding)
     ll, _, _ = _loglik_grad(m.beta, design, labels, m.k, 0.0)
     return ll
-
-
-def predict_proba(m: LogitModel, row) -> np.ndarray:
-    """Membership probabilities for one categorical row; sums to 1."""
-    y = encode(row, m.encoding)
-    return _probabilities((m.beta @ y)[None, :])[0]
 
 
 def predict_proba_rows(m: LogitModel, rows: CategoricalTable | np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 fit, allocate, score.
 
 Every stage writes its artifact to the output directory, so each stage can
-also be run (and inspected) in isolation through the CLI.  A stage failure
+also be run (and inspected) in isolation through the CLI, whose ``train``
+and ``describe`` subcommands call the same stage bodies as ``run``.  A stage failure
 aborts the run with the stage name attached; artifacts written so far are
 kept.  Reports are plain JSON with sorted keys and shortest round-trip
 float formatting, so two runs with the same config produce byte-identical
@@ -19,6 +20,7 @@ from pathlib import Path
 
 from . import allocation, logit, profiles, som, varselect
 from .dataset import (
+    ContinuousTable,
     Dataset,
     Schema,
     load_dataset,
@@ -91,6 +93,34 @@ def _stage(name):
         raise StageError(name, exc) from exc
 
 
+def train_clustering(
+    table: ContinuousTable,
+    dimensions: tuple[str, ...],
+    cfg: som.SomConfig,
+    macro_units: int | None,
+    path,
+) -> tuple[som.Codebook | som.TwoLevelClustering, float]:
+    """Train the level-1 map, reduce it to ``macro_units`` macro clusters
+    when given, save the clustering to ``path`` and return it with the
+    level-1 quantization error."""
+    level1 = som.train_som(table, cfg, dimensions=dimensions)
+    clustering = level1
+    if macro_units is not None:
+        clustering = som.reduce_codebook(level1, macro_units, cfg)
+    som.save_clustering(clustering, path)
+    return clustering, som.quantization_error(level1, table)
+
+
+def describe(d: Dataset, labels, k: int, outdir: Path) -> None:
+    """Write the cluster statistics, modality test values and profile chart."""
+    profs = profiles.describe_clusters(d, labels, k)
+    profiles.save_continuous_stats_csv(profs, d.schema, outdir / "cluster_stats.csv")
+    profiles.save_modality_csv(profs, d.schema, outdir / "cluster_modalities.csv")
+    (outdir / "cluster_profiles.svg").write_text(
+        profiles.mean_profile_svg(profs, d.schema), encoding="utf-8"
+    )
+
+
 def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> dict:
     """Run every stage and return (and write) the final report.
 
@@ -131,28 +161,20 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> dict:
             radius_end=cfg.radius_end,
             seed=cfg.seed,
         )
-        level1 = som.train_som(
-            train.continuous, som_cfg, dimensions=train.schema.continuous_names
+        macro_units = cfg.macro_units if cfg.method == "c1" else None
+        clustering, qe = train_clustering(
+            train.continuous,
+            train.schema.continuous_names,
+            som_cfg,
+            macro_units,
+            outdir / "clustering.json",
         )
-        if cfg.method == "c1":
-            clustering = som.reduce_codebook(level1, cfg.macro_units, som_cfg)
-            contiguous = clustering.contiguous
-        else:
-            clustering = level1
-            contiguous = None
-        som.save_clustering(clustering, outdir / "clustering.json")
         labels_train = som.cluster_labels(clustering, train.continuous)
         save_labels(labels_train, outdir / "train_labels.csv")
-        qe = som.quantization_error(level1, train.continuous)
         n_clusters = clustering.n_clusters
 
     with _stage("describe"):
-        profs = profiles.describe_clusters(train, labels_train, n_clusters)
-        profiles.save_continuous_stats_csv(profs, train.schema, outdir / "cluster_stats.csv")
-        profiles.save_modality_csv(profs, train.schema, outdir / "cluster_modalities.csv")
-        (outdir / "cluster_profiles.svg").write_text(
-            profiles.mean_profile_svg(profs, train.schema), encoding="utf-8"
-        )
+        describe(train, labels_train, n_clusters, outdir)
 
     with _stage("fit"):
         spec = logit.EncodingSpec.from_schema(train.schema)
@@ -194,7 +216,7 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> dict:
         ],
         "n_clusters": n_clusters,
         "quantization_error": qe,
-        "macro_contiguous": contiguous,
+        "macro_contiguous": None if macro_units is None else clustering.contiguous,
         "fit": {
             "log_likelihood": model.diagnostics.log_likelihood,
             "gradient_max": model.diagnostics.gradient_max,

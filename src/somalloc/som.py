@@ -6,9 +6,6 @@ assign without imputation.  A large map can be reduced to a few macro
 clusters by training a second, smaller string over its code-vectors; thanks
 to topology preservation the macro clusters come out as contiguous runs of
 units, which is verified and flagged rather than enforced.
-
-Single-vector entry points take NaN-marked vectors (NaN = missing);
-ContinuousTable.nan_values() produces that layout.
 """
 
 from __future__ import annotations
@@ -112,27 +109,19 @@ class TwoLevelClustering:
         return self.level2.units
 
 
-def masked_distance(x: np.ndarray, c: np.ndarray) -> float:
-    """Mean squared difference over the observed (non-NaN) components of x.
-
-    Averaging instead of summing keeps rows with different missingness
-    comparable.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if x.shape != c.shape:
-        raise ValueError("dimension mismatch")
-    obs = ~np.isnan(x)
-    if not obs.any():
-        raise ValueError("vector has no observed components")
-    diff = x[obs] - c[obs]
-    return float(np.mean(diff * diff))
-
-
 def _masked_distances(
     values: np.ndarray, observed: np.ndarray, code_vectors: np.ndarray
 ) -> np.ndarray:
-    """(N, K) matrix of masked distances from every row to every unit."""
+    """(N, K) matrix of masked distances from every row to every unit.
+
+    Each distance averages the squared differences over the row's observed
+    components, which keeps rows with different missingness comparable.
+    """
+    if values.shape[1] != code_vectors.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: rows have {values.shape[1]} components, "
+            f"code-vectors {code_vectors.shape[1]}"
+        )
     diff = values[:, None, :] - code_vectors[None, :, :]
     sq = np.where(observed[:, None, :], diff * diff, 0.0)
     counts = observed.sum(axis=1)
@@ -164,46 +153,27 @@ def train_som(
     code = np.where(observed[pick], values[pick], col_means[None, :])
     code = np.ascontiguousarray(code, dtype=np.float64)
 
-    full_rows = observed.all(axis=1)
+    full_rows = observed.all(axis=1).tolist()
     total = cfg.epochs * n
     denom = max(total - 1, 1)
     lr_span = cfg.lr_end - cfg.lr_start
     radius_span = cfg.radius_end - cfg.radius_start
-    step = 0
-    for _ in range(cfg.epochs):
-        for i in rng.permutation(n):
-            frac = step / denom
-            lr = cfg.lr_start + lr_span * frac
-            radius = int(cfg.radius_start + radius_span * frac + 0.5)
+    for epoch in range(cfg.epochs):
+        # one epoch of the schedule at a time bounds its memory to O(n)
+        frac = np.arange(epoch * n, (epoch + 1) * n) / denom
+        lrs = (cfg.lr_start + lr_span * frac).tolist()
+        radii = (cfg.radius_start + radius_span * frac + 0.5).astype(np.int64).tolist()
+        for i, lr, radius in zip(rng.permutation(n).tolist(), lrs, radii):
             x = values[i]
-            if full_rows[i]:
-                diff = code - x
-                dist = (diff * diff).mean(axis=1)
-                best = int(np.argmin(dist))
-                lo, hi = max(0, best - radius), min(k, best + radius + 1)
-                code[lo:hi] += lr * (x - code[lo:hi])
-            else:
-                obs = observed[i]
-                diff = code[:, obs] - x[obs]
-                dist = (diff * diff).mean(axis=1)
-                best = int(np.argmin(dist))
-                lo, hi = max(0, best - radius), min(k, best + radius + 1)
-                code[lo:hi, obs] += lr * (x[obs] - code[lo:hi, obs])
-            step += 1
+            obs = slice(None) if full_rows[i] else observed[i]
+            diff = code[:, obs] - x[obs]
+            dist = (diff * diff).mean(axis=1)
+            best = int(np.argmin(dist))
+            lo, hi = max(0, best - radius), min(k, best + radius + 1)
+            code[lo:hi, obs] += lr * (x[obs] - code[lo:hi, obs])
     if dimensions is None:
         dimensions = tuple(f"dim{j}" for j in range(p))
     return Codebook(code, dimensions)
-
-
-def assign(cb: Codebook, x: np.ndarray) -> int:
-    """Best matching unit for a NaN-marked vector; ties go to the lowest index."""
-    x = np.asarray(x, dtype=np.float64)
-    obs = ~np.isnan(x)
-    if not obs.any():
-        raise ValueError("vector has no observed components")
-    diff = cb.code_vectors[:, obs] - x[obs]
-    dist = (diff * diff).mean(axis=1)
-    return int(np.argmin(dist))
 
 
 def assign_all(cb: Codebook, data: ContinuousTable) -> np.ndarray:
@@ -247,13 +217,6 @@ def reduce_codebook(level1: Codebook, k2: int, cfg: SomConfig) -> TwoLevelCluste
         macro_of_unit=macro,
         contiguous=_contiguous_runs(macro),
     )
-
-
-def cluster_of(clustering: Codebook | TwoLevelClustering, x: np.ndarray) -> int:
-    """Cluster index of a NaN-marked vector under either clustering kind."""
-    if isinstance(clustering, TwoLevelClustering):
-        return int(clustering.macro_of_unit[assign(clustering.level1, x)])
-    return assign(clustering, x)
 
 
 def cluster_labels(

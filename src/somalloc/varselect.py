@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CategoricalTable, DataError, Dataset, Schema
+from .dataset import DataError, Dataset
+from .logit import EncodingSpec, encode_rows
 
 
 @dataclass(frozen=True)
@@ -72,30 +73,6 @@ class AnovaReport:
                 )
 
 
-def build_dummy_design(categorical: CategoricalTable, schema: Schema) -> np.ndarray:
-    """Intercept plus, per variable, indicators of every modality but the last.
-
-    Reference-cell coding keeps the design full rank with the intercept;
-    fitted values (hence F and R-squared) do not depend on which full-rank
-    coding is used.
-    """
-    codes = categorical.codes
-    if codes.size and codes.min() < 0:
-        raise DataError("dummy design requires complete categorical data")
-    n = codes.shape[0]
-    counts = schema.modality_counts
-    width = 1 + sum(m - 1 for m in counts)
-    design = np.zeros((n, width))
-    design[:, 0] = 1.0
-    offset = 1
-    for j, m in enumerate(counts):
-        col = codes[:, j]
-        for mod in range(m - 1):
-            design[:, offset + mod] = col == mod
-        offset += m - 1
-    return design
-
-
 def fit_additive_anova(
     x: np.ndarray, observed: np.ndarray | None, design: np.ndarray
 ) -> AnovaFit:
@@ -143,7 +120,9 @@ def select_variables(d: Dataset, threshold: float = 0.08) -> AnovaReport:
     """Screen every continuous variable; selected iff R-squared >= threshold."""
     if not 0.0 < threshold < 1.0:
         raise DataError(f"threshold must be in (0, 1), got {threshold}")
-    design = build_dummy_design(d.categorical, d.schema)
+    # the logit's reference-cell coding: full rank with the intercept, and F
+    # and R-squared do not depend on which full-rank coding is used
+    design = encode_rows(d.categorical, EncodingSpec.from_schema(d.schema))
     screens = []
     for j, name in enumerate(d.schema.continuous_names):
         fit = fit_additive_anova(

@@ -122,7 +122,7 @@ class TestCriterion4AnovaOracle:
 
     def test_hundred_random_instances(self):
         rng = np.random.default_rng(99)
-        from somalloc.dataset import CategoricalTable, Schema
+        from somalloc.dataset import Schema
 
         worst = 0.0
         for _ in range(100):
@@ -138,7 +138,7 @@ class TestCriterion4AnovaOracle:
                 ),
                 compositional=False,
             )
-            design = varselect.build_dummy_design(CategoricalTable(codes), schema)
+            design = logit.encode_rows(codes, EncodingSpec.from_schema(schema))
             x = rng.normal(size=n) + codes @ rng.normal(size=n_factors)
             fit = varselect.fit_additive_anova(x, None, design)
             fisher, r2 = self._oracle(x, design)
@@ -322,7 +322,7 @@ class TestCriterion9ProbabilityNormalization:
             beta = rng.uniform(-1e3, 1e3, size=(k - 1, spec.width))
             model = LogitModel(k=k, beta=beta, encoding=spec, diagnostics=diag)
             row = [int(rng.integers(-1, 2)), int(rng.integers(-1, 3))]
-            probs = logit.predict_proba(model, row)
+            probs = logit.predict_proba_rows(model, np.array([row]))[0]
             assert np.isfinite(probs).all()
             assert (probs >= 0.0).all()
             dev = abs(float(probs.sum()) - 1.0)

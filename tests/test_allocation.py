@@ -9,7 +9,6 @@ from somalloc.allocation import (
     build_contingency,
     ContingencyTable,
     evaluate,
-    true_class,
     true_classes,
 )
 from somalloc.dataset import ContinuousTable
@@ -108,17 +107,17 @@ class TestTrueClass:
 
     def test_level1_code_vector_maps_to_its_macro(self):
         two = self._two_level()
-        for j in range(two.level1.units):
-            x = two.level1.code_vectors[j]
-            assert true_class(two, x) == two.macro_of_unit[j]
+        vectors = two.level1.code_vectors
+        data = ContinuousTable(vectors, np.ones_like(vectors, dtype=bool))
+        assert_array_equal(true_classes(two, data), two.macro_of_unit)
 
     def test_fully_observed_equals_plain_nearest_neighbor(self):
         cb = Codebook(np.array([[0.0, 0.0], [4.0, 4.0]]), ("a", "b"))
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            x = rng.uniform(-1, 5, size=2)
-            expect = np.argmin(((cb.code_vectors - x) ** 2).sum(axis=1))
-            assert true_class(cb, x) == expect
+        x = rng.uniform(-1, 5, size=(20, 2))
+        expect = [np.argmin(((cb.code_vectors - row) ** 2).sum(axis=1)) for row in x]
+        data = ContinuousTable(x, np.ones_like(x, dtype=bool))
+        assert_array_equal(true_classes(cb, data), expect)
 
     def test_recovers_planted_clusters_on_generator_data(self):
         spec = GeneratorSpec.survey_shaped(seed=29, n=3000)

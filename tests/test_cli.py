@@ -233,6 +233,109 @@ class TestSubcommands:
         assert "error" in capsys.readouterr().err
 
 
+class TestArtifactChecks:
+    """Saved artifacts are refused when the files they are applied to have
+    a different layout."""
+
+    def test_allocate_refuses_schema_that_differs_from_model(
+        self, data_dir, tmp_path, capsys
+    ):
+        model_path = tmp_path / "model.json"
+        rc = main(
+            [
+                "fit",
+                "--categorical", str(data_dir / "categorical.csv"),
+                "--schema", str(data_dir / "schema.json"),
+                "--labels", str(data_dir / "true_labels.csv"),
+                "--classes", "5",
+                "--out", str(model_path),
+            ]
+        )
+        assert rc == 0
+        # same labels, reversed modality order: every file still parses
+        schema = json.loads((data_dir / "schema.json").read_text())
+        var = schema["categorical"][2]
+        var["modalities"].reverse()
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps(schema))
+        out = tmp_path / "alloc.csv"
+        rc = main(
+            [
+                "allocate",
+                "--model", str(model_path),
+                "--categorical", str(data_dir / "categorical.csv"),
+                "--schema", str(schema_path),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"categorical variable {var['name']!r}" in err
+        assert not out.exists()
+
+    def test_describe_refuses_clustering_of_other_variables(
+        self, data_dir, tmp_path, capsys
+    ):
+        cb = tmp_path / "cb.json"
+        rc = main(
+            [
+                "train",
+                "--continuous", str(data_dir / "continuous.csv"),
+                "--schema", str(data_dir / "schema.json"),
+                "--units", "4",
+                "--epochs", "2",
+                "--seed", "2",
+                "--out", str(cb),
+            ]
+        )
+        assert rc == 0
+        # swap the first two continuous columns in both schema and file: a
+        # consistent pair, but not the layout the map was trained on
+        schema = json.loads((data_dir / "schema.json").read_text())
+        names = schema["continuous"]
+        names[0], names[1] = names[1], names[0]
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps(schema))
+        lines = (data_dir / "continuous.csv").read_text().splitlines()
+        swapped = []
+        for ln in lines:
+            cells = ln.split(",")
+            cells[0], cells[1] = cells[1], cells[0]
+            swapped.append(",".join(cells))
+        continuous = tmp_path / "continuous.csv"
+        continuous.write_text("\n".join(swapped) + "\n")
+        rc = main(
+            [
+                "describe",
+                "--continuous", str(continuous),
+                "--categorical", str(data_dir / "categorical.csv"),
+                "--schema", str(schema_path),
+                "--clustering", str(cb),
+                "--outdir", str(tmp_path / "desc"),
+            ]
+        )
+        assert rc == 2
+        assert "clustering dimensions" in capsys.readouterr().err
+        assert not (tmp_path / "desc" / "cluster_stats.csv").exists()
+
+    def test_evaluate_reports_empty_file(self, data_dir, tmp_path, capsys):
+        empty = tmp_path / "alloc.csv"
+        empty.write_text("")
+        rc = main(
+            [
+                "evaluate",
+                "--allocated", str(empty),
+                "--truth", str(data_dir / "true_labels.csv"),
+                "--classes", "5",
+                "--out-table", str(tmp_path / "table.csv"),
+                "--out-metrics", str(tmp_path / "metrics.json"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"error [evaluate] {empty}: empty file"
+
+
 class TestRunCommand:
     def test_full_run(self, data_dir, tmp_path):
         outdir = tmp_path / "run"

@@ -8,13 +8,11 @@ from somalloc.logit import (
     FitDiagnostics,
     LogitModel,
     _loglik_grad,
-    encode,
     encode_rows,
     fit_logit,
     log_likelihood,
     model_from_dict,
     model_to_dict,
-    predict_proba,
     predict_proba_rows,
 )
 from somalloc.synth import GeneratorSpec, generate
@@ -22,6 +20,16 @@ from somalloc.synth import GeneratorSpec, generate
 
 def binary_spec():
     return EncodingSpec(variables=("v",), modalities=(("A", "B"),))
+
+
+def encode_one(row, spec):
+    """encode_rows on a one-row input."""
+    return encode_rows(np.asarray([row]), spec)[0]
+
+
+def proba_one(model, row):
+    """predict_proba_rows on a one-row input."""
+    return predict_proba_rows(model, np.asarray([row]))[0]
 
 
 def make_model(beta, spec, k):
@@ -43,20 +51,20 @@ class TestEncoding:
         spec = EncodingSpec(
             variables=("u", "v"), modalities=(("a", "b"), ("x", "y", "z"))
         )
-        y = encode([1, 2], spec)  # both at reference (last) modality
+        y = encode_one([1, 2], spec)  # both at reference (last) modality
         assert_array_equal(y, [1.0, 0.0, 0.0, 0.0])
 
     def test_missing_cell_encodes_like_reference(self):
         spec = EncodingSpec(
             variables=("u", "v"), modalities=(("a", "b"), ("x", "y", "z"))
         )
-        assert_array_equal(encode([MISSING_CODE, 0], spec), encode([1, 0], spec))
+        assert_array_equal(encode_one([MISSING_CODE, 0], spec), encode_one([1, 0], spec))
 
     def test_one_hot_positions(self):
         spec = EncodingSpec(
             variables=("u", "v"), modalities=(("a", "b"), ("x", "y", "z"))
         )
-        assert_array_equal(encode([0, 1], spec), [1.0, 1.0, 0.0, 1.0])
+        assert_array_equal(encode_one([0, 1], spec), [1.0, 1.0, 0.0, 1.0])
 
     def test_survey_width_is_33(self):
         counts = (4, 3, 4, 3, 5, 5, 3, 5, 5, 5)
@@ -65,19 +73,19 @@ class TestEncoding:
             modalities=tuple(tuple(f"m{i}" for i in range(m)) for m in counts),
         )
         assert spec.width == 33
-        assert encode([0] * 10, spec).shape == (33,)
+        assert encode_one([0] * 10, spec).shape == (33,)
 
     def test_invalid_modality_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            encode([5], binary_spec())
+            encode_one([5], binary_spec())
 
     def test_no_intercept_encoding(self):
         spec = EncodingSpec(
             variables=("u",), modalities=(("a", "b", "c"),), intercept=False
         )
         assert spec.width == 2
-        assert_array_equal(encode([0], spec), [1.0, 0.0])
-        assert_array_equal(encode([2], spec), [0.0, 0.0])
+        assert_array_equal(encode_one([0], spec), [1.0, 0.0])
+        assert_array_equal(encode_one([2], spec), [0.0, 0.0])
 
     def test_encode_rows_matches_encode(self):
         rng = np.random.default_rng(0)
@@ -88,7 +96,15 @@ class TestEncoding:
             [rng.integers(-1, 2, size=30), rng.integers(-1, 3, size=30)]
         )
         batch = encode_rows(codes, spec)
-        singles = np.array([encode(row, spec) for row in codes])
+        # brute force: intercept, then one indicator per non-reference
+        # modality; missing and reference cells leave their block at zero
+        singles = np.zeros((30, spec.width))
+        singles[:, 0] = 1.0
+        for i, (u, v) in enumerate(codes):
+            if u == 0:
+                singles[i, 1] = 1.0
+            if v in (0, 1):
+                singles[i, 2 + v] = 1.0
         assert_array_equal(batch, singles)
 
 
@@ -241,11 +257,11 @@ class TestPredict:
     def test_zero_coefficients_give_uniform(self):
         spec = binary_spec()
         model = make_model(np.zeros((4, 2)), spec, 5)
-        assert_allclose(predict_proba(model, [0]), 0.2)
+        assert_allclose(proba_one(model, [0]), 0.2)
 
     def test_three_to_one_odds(self):
         model = make_model([[np.log(3.0), 0.0]], binary_spec(), 2)
-        assert_allclose(predict_proba(model, [1]), [0.75, 0.25], atol=1e-14)
+        assert_allclose(proba_one(model, [1]), [0.75, 0.25], atol=1e-14)
 
     def test_matches_naive_formula_on_small_scores(self):
         rng = np.random.default_rng(7)
@@ -257,10 +273,10 @@ class TestPredict:
             [rng.integers(2, size=50), rng.integers(3, size=50)]
         )
         for row in codes:
-            y = encode(row, spec)
+            y = encode_one(row, spec)
             scores = np.append(model.beta @ y, 0.0)
             naive = np.exp(scores) / np.exp(scores).sum()
-            assert_allclose(predict_proba(model, row), naive, atol=1e-12)
+            assert_allclose(proba_one(model, row), naive, atol=1e-12)
 
     def test_probabilities_sum_to_one_under_extreme_coefficients(self):
         rng = np.random.default_rng(8)
@@ -268,7 +284,7 @@ class TestPredict:
         for _ in range(200):
             beta = rng.uniform(-1e3, 1e3, size=(3, spec.width))
             model = make_model(beta, spec, 4)
-            probs = predict_proba(model, [int(rng.integers(2))])
+            probs = proba_one(model, [int(rng.integers(2))])
             assert np.isfinite(probs).all()
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert (probs >= 0.0).all()
@@ -279,8 +295,14 @@ class TestPredict:
         model = make_model(rng.normal(size=(2, 2)), spec, 3)
         codes = rng.integers(-1, 2, size=(20, 1))
         batch = predict_proba_rows(model, codes)
-        singles = np.array([predict_proba(model, row) for row in codes])
-        assert_allclose(batch, singles, atol=0)
+        # per row: dummy vector by hand, scores against the reference class,
+        # plain (unshifted) softmax
+        singles = []
+        for (code,) in codes:
+            y = np.array([1.0, 1.0 if code == 0 else 0.0])
+            scores = np.append(model.beta @ y, 0.0)
+            singles.append(np.exp(scores) / np.exp(scores).sum())
+        assert_allclose(batch, singles, rtol=1e-14, atol=0)
 
 
 class TestSerialization:
@@ -291,7 +313,7 @@ class TestSerialization:
         assert_array_equal(again.beta, model.beta)
         assert again.encoding == model.encoding
         assert_allclose(
-            predict_proba(again, [0]), predict_proba(model, [0]), atol=0
+            proba_one(again, [0]), proba_one(model, [0]), atol=0
         )
 
     def test_version_checked(self):

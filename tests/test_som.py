@@ -5,18 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from somalloc.dataset import ContinuousTable
+from somalloc.dataset import ContinuousTable, DataError
 from somalloc.som import (
     Codebook,
     SomConfig,
     TwoLevelClustering,
-    assign,
+    _masked_distances,
     assign_all,
     cluster_labels,
-    cluster_of,
     clustering_from_dict,
     clustering_to_dict,
-    masked_distance,
     quantization_error,
     reduce_codebook,
     train_som,
@@ -31,6 +29,19 @@ def table(values, observed=None):
     return ContinuousTable(values, observed)
 
 
+def one_row_distance(x, c):
+    """The batch kernel on one row (NaN = missing component) and one unit."""
+    x = np.asarray(x, dtype=float)
+    obs = ~np.isnan(x)
+    values = np.where(obs, x, 0.0)[None, :]
+    return float(_masked_distances(values, obs[None, :], np.asarray(c, float)[None, :])[0, 0])
+
+
+def assign_one(cb, x):
+    """assign_all on a one-row table (NaN = missing component)."""
+    return int(assign_all(cb, table(np.asarray(x, dtype=float)[None, :]))[0])
+
+
 def scalar_clusters(seed, n=300, centers=(0.0, 10.0, 20.0, 30.0, 40.0), sigma=1.0):
     rng = np.random.default_rng(seed)
     centers = np.asarray(centers)
@@ -43,23 +54,24 @@ class TestMaskedDistance:
     def test_fully_observed_is_mean_squared_euclidean(self):
         x = np.array([1.0, 2.0, 3.0])
         c = np.array([2.0, 0.0, 3.0])
-        assert masked_distance(x, c) == pytest.approx((1 + 4 + 0) / 3)
+        assert one_row_distance(x, c) == pytest.approx((1 + 4 + 0) / 3)
 
     def test_unobserved_component_ignored(self):
-        assert masked_distance(np.array([1.0, np.nan]), np.array([1.0, 99.0])) == 0.0
+        assert one_row_distance(np.array([1.0, np.nan]), np.array([1.0, 99.0])) == 0.0
 
     def test_mixed_example(self):
         x = np.array([0.0, np.nan, 4.0])
         c = np.array([2.0, 5.0, 1.0])
-        assert masked_distance(x, c) == pytest.approx(6.5)
+        assert one_row_distance(x, c) == pytest.approx(6.5)
 
     def test_no_observed_components_rejected(self):
-        with pytest.raises(ValueError, match="no observed"):
-            masked_distance(np.array([np.nan, np.nan]), np.zeros(2))
+        # tables, the kernel's only input, refuse such rows up front
+        with pytest.raises(DataError, match="no observed"):
+            table(np.array([[np.nan, np.nan]]))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            masked_distance(np.zeros(2), np.zeros(3))
+            one_row_distance(np.zeros(2), np.zeros(3))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000))
@@ -72,8 +84,8 @@ class TestMaskedDistance:
         if not obs.any():
             obs[0] = True
         masked = np.where(obs, x, np.nan)
-        assert masked_distance(masked, c) == pytest.approx(
-            masked_distance(x[obs], c[obs])
+        assert one_row_distance(masked, c) == pytest.approx(
+            one_row_distance(x[obs], c[obs])
         )
 
     @settings(max_examples=50, deadline=None)
@@ -88,8 +100,8 @@ class TestMaskedDistance:
             obs[0] = True
         masked_x = np.where(obs, x, np.nan)
         swapped_c = np.where(obs, c, np.nan)
-        d1 = masked_distance(masked_x, c)
-        d2 = masked_distance(swapped_c, x)
+        d1 = one_row_distance(masked_x, c)
+        d2 = one_row_distance(swapped_c, x)
         assert d1 == pytest.approx(d2)
 
 
@@ -237,16 +249,16 @@ class TestAssignment:
 
     def test_exact_code_vector_maps_to_itself(self):
         cb = self._codebook()
-        assert assign(cb, np.array([3.0, 3.0])) == 2
+        assert assign_one(cb, np.array([3.0, 3.0])) == 2
 
     def test_tie_breaks_to_lowest_index(self):
         cb = Codebook(np.array([[0.0], [2.0], [2.0]]), ("a",))
-        assert assign(cb, np.array([2.0])) == 1
-        assert assign(cb, np.array([1.0])) == 0  # equidistant to units 0 and 1
+        assert assign_one(cb, np.array([2.0])) == 1
+        assert assign_one(cb, np.array([1.0])) == 0  # equidistant to units 0 and 1
 
     def test_masked_assignment(self):
         cb = self._codebook()
-        assert assign(cb, np.array([np.nan, 6.2])) == 3
+        assert assign_one(cb, np.array([np.nan, 6.2])) == 3
 
     def test_assign_all_agrees_with_assign(self):
         rng = np.random.default_rng(6)
@@ -256,7 +268,10 @@ class TestAssignment:
         observed[~observed.any(axis=1), 0] = True
         data = ContinuousTable(np.where(observed, values, 0.0), observed)
         batch = assign_all(cb, data)
-        singles = [assign(cb, row) for row in data.nan_values()]
+        singles = []
+        for x, obs in zip(data.values, data.observed):
+            dist = [np.mean((x[obs] - c[obs]) ** 2) for c in cb.code_vectors]
+            singles.append(int(np.argmin(dist)))
         assert_array_equal(batch, singles)
 
 
@@ -322,13 +337,13 @@ class TestClusterOf:
         cfg = SomConfig(units=10, epochs=10, seed=31)
         level1 = train_som(data, cfg)
         two = reduce_codebook(level1, 3, cfg)
-        for j in range(level1.units):
-            x = level1.code_vectors[j]
-            assert cluster_of(two, x) == two.macro_of_unit[j]
+        labels = cluster_labels(two, table(level1.code_vectors))
+        assert_array_equal(labels, two.macro_of_unit)
 
     def test_plain_codebook_is_assign(self):
         cb = Codebook(np.array([[0.0], [5.0]]), ("a",))
-        assert cluster_of(cb, np.array([4.0])) == assign(cb, np.array([4.0]))
+        data = table([[4.0], [1.0]])
+        assert_array_equal(cluster_labels(cb, data), assign_all(cb, data))
 
     def test_direct_five_unit_labels_in_range(self):
         data, _ = scalar_clusters(seed=41, n=200)

@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from somalloc.dataset import CategoricalTable, DataError, Schema
-from somalloc.varselect import (
-    build_dummy_design,
-    fit_additive_anova,
-    select_variables,
-)
+from somalloc.dataset import CategoricalTable, ContinuousTable, DataError, Dataset, Schema
+from somalloc.logit import EncodingSpec, encode_rows
+from somalloc.varselect import fit_additive_anova, select_variables
 
 from conftest import make_dataset
+
+
+def design_of(table, schema):
+    """The screening design: select_variables' call of the logit encoder."""
+    return encode_rows(table, EncodingSpec.from_schema(schema))
 
 
 def normal_equations_oracle(y, design):
@@ -47,7 +49,7 @@ class TestDummyDesign:
     def test_single_two_modality_variable(self):
         schema = Schema(("x",), (("v", ("A", "B")),), compositional=False)
         table = CategoricalTable(np.array([[0], [1], [0]]))
-        design = build_dummy_design(table, schema)
+        design = design_of(table, schema)
         assert_array_equal(design, [[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
     def test_width_two_variables(self):
@@ -57,7 +59,7 @@ class TestDummyDesign:
             compositional=False,
         )
         table = CategoricalTable(np.array([[0, 2], [1, 0]]))
-        design = build_dummy_design(table, schema)
+        design = design_of(table, schema)
         assert design.shape == (2, 4)  # 1 + 1 + 2
 
     def test_survey_modality_counts_give_width_33(self):
@@ -71,13 +73,14 @@ class TestDummyDesign:
             compositional=False,
         )
         table = CategoricalTable(np.zeros((2, 10), dtype=np.int64))
-        assert build_dummy_design(table, schema).shape[1] == 33
+        assert design_of(table, schema).shape[1] == 33
 
     def test_missing_codes_rejected(self):
+        # the design assumes complete data; the learning base guarantees it
         schema = Schema(("x",), (("v", ("A", "B")),), compositional=False)
-        table = CategoricalTable(np.array([[-1]]))
-        with pytest.raises(DataError, match="complete"):
-            build_dummy_design(table, schema)
+        continuous = ContinuousTable(np.array([[1.0]]), np.array([[True]]))
+        with pytest.raises(DataError, match="missing categorical"):
+            Dataset(schema, continuous, CategoricalTable(np.array([[-1]])))
 
 
 class TestAdditiveAnova:
@@ -86,7 +89,7 @@ class TestAdditiveAnova:
         schema = Schema(("x",), (("v", ("A", "B")),), compositional=False)
         codes = rng.integers(2, size=(40, 1))
         table = CategoricalTable(codes)
-        design = build_dummy_design(table, schema)
+        design = design_of(table, schema)
         x = codes[:, 0].astype(float)
         fit = fit_additive_anova(x, None, design)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -105,7 +108,7 @@ class TestAdditiveAnova:
             ),
             compositional=False,
         )
-        design = build_dummy_design(table, schema)
+        design = design_of(table, schema)
         x = rng.normal(size=n)
         fit = fit_additive_anova(x, None, design)
         fisher, r2, dfm, dfe = normal_equations_oracle(x, design)
@@ -117,7 +120,7 @@ class TestAdditiveAnova:
         rng = np.random.default_rng(2)
         n = 20
         table, schema = random_factors(rng, n, 2, max_mods=3)
-        design = build_dummy_design(table, schema)
+        design = design_of(table, schema)
         x = rng.normal(size=n) + table.codes[:, 0]
         fit = fit_additive_anova(x, None, design)
         fisher, r2, dfm, dfe = normal_equations_oracle(x, design)
@@ -129,7 +132,7 @@ class TestAdditiveAnova:
         rng = np.random.default_rng(3)
         n = 60
         table, schema = random_factors(rng, n, 1)
-        design = build_dummy_design(table, schema)
+        design = design_of(table, schema)
         x = rng.normal(size=n) + 0.5 * table.codes[:, 0]
         observed = rng.random(n) > 0.3
         fit = fit_additive_anova(x, observed, design)
@@ -142,7 +145,7 @@ class TestAdditiveAnova:
         rng = np.random.default_rng(4)
         n = 50
         table, schema = random_factors(rng, n, 2, max_mods=3)
-        design = build_dummy_design(table, schema)
+        design = design_of(table, schema)
         x = rng.normal(size=n) + table.codes.sum(axis=1)
         fit = fit_additive_anova(x, None, design)
         padded = np.column_stack([design, design[:, 1]])
@@ -156,7 +159,7 @@ class TestAdditiveAnova:
     def test_constant_response_is_degenerate(self):
         rng = np.random.default_rng(5)
         table, schema = random_factors(rng, 30, 1)
-        design = build_dummy_design(table, schema)
+        design = design_of(table, schema)
         fit = fit_additive_anova(np.full(30, 7.0), None, design)
         assert fit.degenerate
         assert fit.r_squared == 0.0
@@ -165,7 +168,7 @@ class TestAdditiveAnova:
     def test_too_few_rows_rejected(self):
         rng = np.random.default_rng(6)
         table, schema = random_factors(rng, 30, 1)
-        design = build_dummy_design(table, schema)
+        design = design_of(table, schema)
         observed = np.zeros(30, dtype=bool)
         observed[: design.shape[1]] = True
         with pytest.raises(DataError, match="more observed rows"):
@@ -181,7 +184,7 @@ class TestAdditiveAnova:
         rng = np.random.default_rng(seed)
         n = 40
         table, schema = random_factors(rng, n, 1)
-        design = build_dummy_design(table, schema)
+        design = design_of(table, schema)
         x = rng.normal(size=n) + table.codes[:, 0]
         base = fit_additive_anova(x, None, design)
         scaled = fit_additive_anova(a * x + b, None, design)
