@@ -12,12 +12,11 @@ the string order to give correct allocations.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import MISSING_CODE, CategoricalTable, ContinuousTable
+from .dataset import MISSING_CODE, CategoricalTable, ContinuousTable, write_csv
 from .logit import LogitModel, predict_proba_rows
 from .som import Codebook, TwoLevelClustering, cluster_labels
 
@@ -114,11 +113,9 @@ class ContingencyTable:
         return int(self.counts.sum())
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["allocated"] + [f"true_{j}" for j in range(self.k)])
-            for i, row in enumerate(self.counts):
-                writer.writerow([i] + [int(v) for v in row])
+        header = ["allocated"] + [f"true_{j}" for j in range(self.k)]
+        rows = ([i] + [int(v) for v in row] for i, row in enumerate(self.counts))
+        write_csv(path, header, rows)
 
 
 def build_contingency(
@@ -148,14 +145,7 @@ class EvaluationSummary:
     total: int
 
     def to_dict(self) -> dict:
-        return {
-            "exact": self.exact,
-            "neighbor": self.neighbor,
-            "correct": self.correct,
-            "exact_rate": self.exact_rate,
-            "correct_rate": self.correct_rate,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def evaluate(table: ContingencyTable) -> EvaluationSummary:

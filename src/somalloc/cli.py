@@ -9,23 +9,20 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import allocation, logit, som, varselect
 from .dataset import (
     DataError,
     Schema,
-    _read_csv,
     load_categorical,
     load_continuous,
     load_dataset,
     load_labels,
     save_dataset,
     save_labels,
+    write_json,
 )
 from .pipeline import (
     PipelineConfig,
@@ -147,30 +144,13 @@ def _cmd_allocate(args) -> int:
     return 0
 
 
-def _read_label_column(path) -> np.ndarray:
-    """Accept either a plain label CSV or an allocations CSV."""
-    header, rows = _read_csv(path)
-    if len(header) == 1:
-        col = 0
-    elif "assigned" in header:
-        col = header.index("assigned")
-    else:
-        raise DataError(f"{path}: expected a label column or an allocations file")
-    try:
-        return np.array([int(r[col]) for r in rows], dtype=np.int64)
-    except (ValueError, IndexError):
-        raise DataError(f"{path}: malformed label column") from None
-
-
 def _cmd_evaluate(args) -> int:
-    allocated = _read_label_column(args.allocated)
-    truth = _read_label_column(args.truth)
+    allocated = load_labels(args.allocated)
+    truth = load_labels(args.truth)
     table = allocation.build_contingency(allocated, truth, args.classes)
     table.save_csv(args.out_table)
     summary = allocation.evaluate(table)
-    with open(args.out_metrics, "w", encoding="utf-8") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(args.out_metrics, summary.to_dict())
     print(
         f"exact {summary.exact}/{summary.total} ({summary.exact_rate:.2%}), "
         f"correct {summary.correct}/{summary.total} ({summary.correct_rate:.2%})"

@@ -1,10 +1,12 @@
-"""Dataset model and CSV ingestion.
+"""Dataset model and the on-disk format of every artifact.
 
 A dataset is an N x (p + l) table: p continuous variables (percent shares
 when compositional, missing cells allowed) and l categorical variables
 (complete in the learning base, missing allowed for new individuals).
 Continuous missingness is an explicit boolean mask so that 0 stays a legal
 datum; categorical missingness is the sentinel code -1.
+
+Every CSV and JSON artifact of the package is written and read here.
 """
 
 from __future__ import annotations
@@ -100,14 +102,11 @@ class Schema:
         )
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "Schema":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return read_json(path, cls.from_dict)
 
 
 @dataclass(frozen=True)
@@ -215,6 +214,39 @@ class Dataset:
         return self.continuous.n_rows
 
 
+def format_float(x) -> str:
+    """Shortest string that reads back as the same double."""
+    return repr(float(x))
+
+
+def write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path, from_dict):
+    """``from_dict`` of the JSON object in ``path``; a truncated file, a
+    missing key or a malformed value raises a DataError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise TypeError("expected a JSON object")
+        return from_dict(obj)
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _read_csv(path) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -293,29 +325,21 @@ def load_dataset(continuous_path, categorical_path, schema: Schema) -> Dataset:
     return Dataset(schema, continuous, categorical)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def save_continuous(table: ContinuousTable, schema: Schema, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(schema.continuous_names)
-        for vals, obs in zip(table.values, table.observed):
-            writer.writerow(
-                [_format_float(v) if o else "" for v, o in zip(vals, obs)]
-            )
+    rows = (
+        [format_float(v) if o else "" for v, o in zip(vals, obs)]
+        for vals, obs in zip(table.values, table.observed)
+    )
+    write_csv(path, schema.continuous_names, rows)
 
 
 def save_categorical(table: CategoricalTable, schema: Schema, path) -> None:
     modalities = [mods for _, mods in schema.categorical_vars]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(schema.categorical_names)
-        for row in table.codes:
-            writer.writerow(
-                [modalities[j][c] if c >= 0 else "" for j, c in enumerate(row)]
-            )
+    rows = (
+        [modalities[j][c] if c >= 0 else "" for j, c in enumerate(row)]
+        for row in table.codes
+    )
+    write_csv(path, schema.categorical_names, rows)
 
 
 def save_dataset(d: Dataset, continuous_path, categorical_path) -> None:
@@ -324,21 +348,23 @@ def save_dataset(d: Dataset, continuous_path, categorical_path) -> None:
 
 
 def load_labels(path) -> np.ndarray:
+    """Integer labels from a single-column CSV or from the ``assigned``
+    column of an allocations file."""
     header, rows = _read_csv(path)
-    if len(header) != 1:
-        raise DataError(f"{path}: label file must have a single column")
+    if len(header) == 1:
+        col = 0
+    elif "assigned" in header:
+        col = header.index("assigned")
+    else:
+        raise DataError(f"{path}: expected a label column or an allocations file")
     try:
-        return np.array([int(r[0]) for r in rows], dtype=np.int64)
+        return np.array([int(r[col]) for r in rows], dtype=np.int64)
     except (ValueError, IndexError):
-        raise DataError(f"{path}: malformed label file") from None
+        raise DataError(f"{path}: malformed label column") from None
 
 
-def save_labels(labels: np.ndarray, path, header: str = "cluster") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([header])
-        for v in labels:
-            writer.writerow([int(v)])
+def save_labels(labels: np.ndarray, path) -> None:
+    write_csv(path, ["cluster"], ([int(v)] for v in labels))
 
 
 def _take(d: Dataset, idx: np.ndarray) -> Dataset:

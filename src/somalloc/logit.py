@@ -9,13 +9,12 @@ fits).  Membership probabilities come out of an overflow-safe softmax.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import MISSING_CODE, CategoricalTable, Schema
+from .dataset import MISSING_CODE, CategoricalTable, Schema, read_json, write_json
 
 SEPARATION_COEF_LIMIT = 30.0
 
@@ -113,6 +112,12 @@ class FitDiagnostics:
     ridge: float
     converged: bool
     ll_trace: tuple[float, ...] = ()
+
+    def to_dict(self) -> dict:
+        """The saved fields: all but ``ll_trace``."""
+        d = asdict(self)
+        del d["ll_trace"]
+        return d
 
 
 @dataclass(frozen=True)
@@ -275,6 +280,12 @@ def fit_logit(
     still returned with its diagnostics.
     """
     labels = np.asarray(labels, dtype=np.int64)
+    design = encode_rows(rows, spec)
+    if labels.shape != (design.shape[0],):
+        raise ValueError(
+            f"{labels.size} labels for {design.shape[0]} rows: "
+            "need exactly one label per row"
+        )
     if labels.size == 0:
         raise ValueError("no rows to fit")
     if labels.min() < 0 or labels.max() >= k:
@@ -283,7 +294,6 @@ def fit_logit(
     if not present.all():
         missing = np.flatnonzero(~present)
         raise ValueError(f"classes absent from labels: {missing.tolist()}")
-    design = encode_rows(rows, spec)
     try:
         beta, diag = _newton(design, labels, k, tol, max_iter, 0.0)
     except _RefitWithRidge:
@@ -331,13 +341,7 @@ def model_to_dict(m: LogitModel) -> dict:
         "reference_class": m.reference_class,
         "encoding": m.encoding.to_dict(),
         "beta": m.beta.tolist(),
-        "diagnostics": {
-            "log_likelihood": m.diagnostics.log_likelihood,
-            "gradient_max": m.diagnostics.gradient_max,
-            "iterations": m.diagnostics.iterations,
-            "ridge": m.diagnostics.ridge,
-            "converged": m.diagnostics.converged,
-        },
+        "diagnostics": m.diagnostics.to_dict(),
     }
 
 
@@ -360,11 +364,8 @@ def model_from_dict(d: dict) -> LogitModel:
 
 
 def save_model(m: LogitModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(m), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_dict(m))
 
 
 def load_model(path) -> LogitModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return read_json(path, model_from_dict)

@@ -13,8 +13,6 @@ files.
 from __future__ import annotations
 
 import contextlib
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,11 +21,15 @@ from .dataset import (
     ContinuousTable,
     Dataset,
     Schema,
+    format_float,
     load_dataset,
+    read_json,
     save_dataset,
     save_labels,
     split_dataset,
     subset_continuous,
+    write_csv,
+    write_json,
 )
 
 
@@ -79,8 +81,7 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return read_json(path, cls.from_dict)
 
 
 @contextlib.contextmanager
@@ -217,31 +218,20 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> dict:
         "n_clusters": n_clusters,
         "quantization_error": qe,
         "macro_contiguous": None if macro_units is None else clustering.contiguous,
-        "fit": {
-            "log_likelihood": model.diagnostics.log_likelihood,
-            "gradient_max": model.diagnostics.gradient_max,
-            "iterations": model.diagnostics.iterations,
-            "ridge": model.diagnostics.ridge,
-            "converged": model.diagnostics.converged,
-        },
+        "fit": model.diagnostics.to_dict(),
         "evaluation": summary.to_dict(),
     }
-    with open(outdir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report_dict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "report.json", report_dict)
     return report_dict
 
 
 def _save_allocations(result, path) -> None:
     k = result.probabilities.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["row"] + [f"p{j}" for j in range(k)] + ["assigned", "missing_cells"]
-        )
-        for i in range(result.n_rows):
-            writer.writerow(
-                [i]
-                + [repr(float(v)) for v in result.probabilities[i]]
-                + [int(result.assigned[i]), int(result.missing_counts[i])]
-            )
+    header = ["row"] + [f"p{j}" for j in range(k)] + ["assigned", "missing_cells"]
+    rows = (
+        [i]
+        + [format_float(v) for v in result.probabilities[i]]
+        + [int(result.assigned[i]), int(result.missing_counts[i])]
+        for i in range(result.n_rows)
+    )
+    write_csv(path, header, rows)

@@ -9,12 +9,11 @@ mark modalities that are over-represented in a cluster.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CategoricalTable, Dataset, Schema
+from .dataset import CategoricalTable, Dataset, Schema, format_float, write_csv
 
 
 @dataclass(frozen=True)
@@ -35,13 +34,37 @@ class ClusterProfile:
     test_value: tuple[np.ndarray, ...]
 
 
-def _global_pct(codes: np.ndarray, counts: tuple[int, ...]) -> list[np.ndarray]:
+def _modality_pcts(
+    codes: np.ndarray, labels: np.ndarray, k: int, counts: tuple[int, ...]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per variable, the (k, m_j) within-cluster shares and the (m_j,)
+    population shares, in percent; NaN for an empty cluster or population."""
     n = codes.shape[0]
-    out = []
+    within, glob = [], []
+    sizes = np.bincount(labels, minlength=k)[:, None]
     for j, m in enumerate(counts):
-        tally = np.bincount(codes[:, j], minlength=m).astype(float)
-        out.append(100.0 * tally / n if n else np.full(m, np.nan))
-    return out
+        tally = np.zeros((k, m))
+        np.add.at(tally, (labels, codes[:, j]), 1.0)
+        with np.errstate(invalid="ignore"):
+            within.append(100.0 * tally / sizes)
+            glob.append(100.0 * tally.sum(axis=0) / n)
+    return within, glob
+
+
+def _test_value(within: np.ndarray, glob: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = within / glob
+    ratio[:, glob == 0.0] = np.nan
+    return ratio
+
+
+def _check_labels(labels, n_rows: int, k: int) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape[0] != n_rows:
+        raise ValueError("labels length must match table rows")
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"labels must lie in [0, {k})")
+    return labels
 
 
 def test_values(
@@ -57,11 +80,7 @@ def test_values(
     inferred from the data.
     """
     codes = categorical.codes
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != codes.shape[0]:
-        raise ValueError("labels length must match table rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"labels must lie in [0, {k})")
+    labels = _check_labels(labels, codes.shape[0], k)
     if modality_counts is None:
         counts = tuple(
             int(codes[:, j].max()) + 1 if codes.shape[0] else 1
@@ -69,22 +88,8 @@ def test_values(
         )
     else:
         counts = tuple(modality_counts)
-    glob = _global_pct(codes, counts)
-    sizes = np.bincount(labels, minlength=k)
-    tables = []
-    for j, m in enumerate(counts):
-        table = np.full((k, m), np.nan)
-        for c in range(k):
-            if sizes[c] == 0:
-                continue
-            tally = np.bincount(codes[labels == c, j], minlength=m).astype(float)
-            within = 100.0 * tally / sizes[c]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = within / glob[j]
-            ratio[glob[j] == 0.0] = np.nan
-            table[c] = ratio
-        tables.append(table)
-    return tables
+    within, glob = _modality_pcts(codes, labels, k, counts)
+    return [_test_value(w, g) for w, g in zip(within, glob)]
 
 
 def describe_clusters(d: Dataset, labels: np.ndarray, k: int) -> tuple[ClusterProfile, ...]:
@@ -94,16 +99,10 @@ def describe_clusters(d: Dataset, labels: np.ndarray, k: int) -> tuple[ClusterPr
     uses the n-1 denominator.  Missing continuous entries are excluded per
     statistic, not per row.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != d.n_rows:
-        raise ValueError("labels length must match dataset rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"labels must lie in [0, {k})")
+    labels = _check_labels(labels, d.n_rows, k)
     p = d.schema.p
-    counts = d.schema.modality_counts
-    codes = d.categorical.codes
-    glob = _global_pct(codes, counts)
-    tv_tables = test_values(d.categorical, labels, k, modality_counts=counts)
+    within, glob = _modality_pcts(d.categorical.codes, labels, k, d.schema.modality_counts)
+    tv_tables = [_test_value(w, g) for w, g in zip(within, glob)]
 
     profiles = []
     for c in range(k):
@@ -124,13 +123,6 @@ def describe_clusters(d: Dataset, labels: np.ndarray, k: int) -> tuple[ClusterPr
                 q1[j], median[j], q3[j] = np.percentile(vals, [25.0, 50.0, 75.0])
                 if vals.size > 1:
                     variance[j] = vals.var(ddof=1)
-        within = []
-        for j, m in enumerate(counts):
-            if size:
-                tally = np.bincount(codes[mask, j], minlength=m).astype(float)
-                within.append(100.0 * tally / size)
-            else:
-                within.append(np.full(m, np.nan))
         profiles.append(
             ClusterProfile(
                 cluster=c,
@@ -141,8 +133,8 @@ def describe_clusters(d: Dataset, labels: np.ndarray, k: int) -> tuple[ClusterPr
                 cont_q1=q1,
                 cont_median=median,
                 cont_q3=q3,
-                within_pct=tuple(within),
-                global_pct=tuple(np.array(g) for g in glob),
+                within_pct=tuple(w[c] for w in within),
+                global_pct=tuple(glob),
                 test_value=tuple(t[c] for t in tv_tables),
             )
         )
@@ -150,55 +142,49 @@ def describe_clusters(d: Dataset, labels: np.ndarray, k: int) -> tuple[ClusterPr
 
 
 def _cell(x: float) -> str:
-    return "" if np.isnan(x) else repr(float(x))
+    return "" if np.isnan(x) else format_float(x)
 
 
 def save_continuous_stats_csv(
     profiles: tuple[ClusterProfile, ...], schema: Schema, path
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["cluster", "size", "variable", "count", "mean", "variance", "q1", "median", "q3"]
-        )
-        for prof in profiles:
-            for j, name in enumerate(schema.continuous_names):
-                writer.writerow(
-                    [
-                        prof.cluster,
-                        prof.size,
-                        name,
-                        int(prof.cont_count[j]),
-                        _cell(prof.cont_mean[j]),
-                        _cell(prof.cont_variance[j]),
-                        _cell(prof.cont_q1[j]),
-                        _cell(prof.cont_median[j]),
-                        _cell(prof.cont_q3[j]),
-                    ]
-                )
+    header = ["cluster", "size", "variable", "count", "mean", "variance", "q1", "median", "q3"]
+    rows = (
+        [
+            prof.cluster,
+            prof.size,
+            name,
+            int(prof.cont_count[j]),
+            _cell(prof.cont_mean[j]),
+            _cell(prof.cont_variance[j]),
+            _cell(prof.cont_q1[j]),
+            _cell(prof.cont_median[j]),
+            _cell(prof.cont_q3[j]),
+        ]
+        for prof in profiles
+        for j, name in enumerate(schema.continuous_names)
+    )
+    write_csv(path, header, rows)
 
 
 def save_modality_csv(
     profiles: tuple[ClusterProfile, ...], schema: Schema, path
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["cluster", "variable", "modality", "within_pct", "global_pct", "test_value"]
-        )
-        for prof in profiles:
-            for j, (name, mods) in enumerate(schema.categorical_vars):
-                for m, label in enumerate(mods):
-                    writer.writerow(
-                        [
-                            prof.cluster,
-                            name,
-                            label,
-                            _cell(prof.within_pct[j][m]),
-                            _cell(prof.global_pct[j][m]),
-                            _cell(prof.test_value[j][m]),
-                        ]
-                    )
+    header = ["cluster", "variable", "modality", "within_pct", "global_pct", "test_value"]
+    rows = (
+        [
+            prof.cluster,
+            name,
+            label,
+            _cell(prof.within_pct[j][m]),
+            _cell(prof.global_pct[j][m]),
+            _cell(prof.test_value[j][m]),
+        ]
+        for prof in profiles
+        for j, (name, mods) in enumerate(schema.categorical_vars)
+        for m, label in enumerate(mods)
+    )
+    write_csv(path, header, rows)
 
 
 def mean_profile_svg(profiles: tuple[ClusterProfile, ...], schema: Schema) -> str:

@@ -11,12 +11,16 @@ units, which is verified and flagged rather than enforced.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ContinuousTable
+from .dataset import ContinuousTable, read_json, write_json
+
+# rows per block of the masked-distance kernel, whose temporaries are
+# _BLOCK_ROWS x K x p doubles; 512 was the fastest of 128-8192 rows on
+# 30 000 x 14 rows against 20 units, and no slower against 5
+_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -116,16 +120,21 @@ def _masked_distances(
 
     Each distance averages the squared differences over the row's observed
     components, which keeps rows with different missingness comparable.
+    Rows go through in blocks, so the (rows, K, p) temporaries stay bounded.
     """
     if values.shape[1] != code_vectors.shape[1]:
         raise ValueError(
             f"dimension mismatch: rows have {values.shape[1]} components, "
             f"code-vectors {code_vectors.shape[1]}"
         )
-    diff = values[:, None, :] - code_vectors[None, :, :]
-    sq = np.where(observed[:, None, :], diff * diff, 0.0)
     counts = observed.sum(axis=1)
-    return sq.sum(axis=2) / counts[:, None]
+    out = np.empty((values.shape[0], code_vectors.shape[0]))
+    for start in range(0, values.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        diff = values[rows, None, :] - code_vectors[None, :, :]
+        sq = np.where(observed[rows, None, :], diff * diff, 0.0)
+        out[rows] = sq.sum(axis=2) / counts[rows, None]
+    return out
 
 
 def train_som(
@@ -264,11 +273,8 @@ def clustering_from_dict(d: dict) -> Codebook | TwoLevelClustering:
 
 
 def save_clustering(clustering: Codebook | TwoLevelClustering, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(clustering_to_dict(clustering), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, clustering_to_dict(clustering))
 
 
 def load_clustering(path) -> Codebook | TwoLevelClustering:
-    with open(path, encoding="utf-8") as fh:
-        return clustering_from_dict(json.load(fh))
+    return read_json(path, clustering_from_dict)

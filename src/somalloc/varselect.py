@@ -9,12 +9,11 @@ dropped before clustering.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataError, Dataset
+from .dataset import DataError, Dataset, format_float, write_csv
 from .logit import EncodingSpec, encode_rows
 
 
@@ -54,23 +53,20 @@ class AnovaReport:
         return tuple(v.name for v in self.variables if v.selected)
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["variable", "F", "R2", "df_model", "df_error", "selected", "rows_used"]
-            )
-            for v in self.variables:
-                writer.writerow(
-                    [
-                        v.name,
-                        repr(v.fisher_statistic),
-                        repr(v.r_squared),
-                        v.df_model,
-                        v.df_error,
-                        int(v.selected),
-                        v.rows_used,
-                    ]
-                )
+        header = ["variable", "F", "R2", "df_model", "df_error", "selected", "rows_used"]
+        rows = (
+            [
+                v.name,
+                format_float(v.fisher_statistic),
+                format_float(v.r_squared),
+                v.df_model,
+                v.df_error,
+                int(v.selected),
+                v.rows_used,
+            ]
+            for v in self.variables
+        )
+        write_csv(path, header, rows)
 
 
 def fit_additive_anova(

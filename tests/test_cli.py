@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -29,6 +30,28 @@ def data_dir(tmp_path_factory):
     )
     assert rc == 0
     return outdir
+
+
+@pytest.fixture(scope="module")
+def artifacts(data_dir, tmp_path_factory):
+    """A valid schema, clustering, model and run config in one directory."""
+    out = tmp_path_factory.mktemp("artifacts")
+    shutil.copy(data_dir / "schema.json", out / "schema.json")
+    schema = ["--schema", str(out / "schema.json")]
+    rc = main(
+        ["train", "--continuous", str(data_dir / "continuous.csv"), *schema,
+         "--units", "3", "--epochs", "1", "--out", str(out / "clustering.json")]
+    )
+    assert rc == 0
+    rc = main(
+        ["fit", "--categorical", str(data_dir / "categorical.csv"), *schema,
+         "--labels", str(data_dir / "true_labels.csv"), "--classes", "5",
+         "--out", str(out / "model.json")]
+    )
+    assert rc == 0
+    config = pipeline_config(data_dir, out / "run")
+    (out / "config.json").write_text(json.dumps(config))
+    return out
 
 
 def pipeline_config(data_dir, outdir, **overrides):
@@ -317,6 +340,49 @@ class TestArtifactChecks:
         assert rc == 2
         assert "clustering dimensions" in capsys.readouterr().err
         assert not (tmp_path / "desc" / "cluster_stats.csv").exists()
+
+    @pytest.mark.parametrize("damage", ["missing-key", "truncated"])
+    @pytest.mark.parametrize(
+        "artifact, key, command",
+        [
+            ("schema", "categorical", "describe"),
+            ("clustering", "code_vectors", "describe"),
+            ("model", "beta", "allocate"),
+            ("config", "seed", "run"),
+        ],
+    )
+    def test_malformed_artifact_is_reported_with_its_path(
+        self, data_dir, artifacts, tmp_path, capsys, artifact, key, command, damage
+    ):
+        inputs = tmp_path / "in"
+        shutil.copytree(artifacts, inputs)
+        path = inputs / f"{artifact}.json"
+        text = path.read_text()
+        if damage == "truncated":
+            text = text[: len(text) // 2]
+        else:
+            obj = json.loads(text)
+            del obj[key]
+            text = json.dumps(obj)
+        path.write_text(text)
+        categorical = ["--categorical", str(data_dir / "categorical.csv")]
+        schema = ["--schema", str(inputs / "schema.json")]
+        argv = {
+            "describe": [
+                "describe", "--continuous", str(data_dir / "continuous.csv"),
+                *categorical, *schema, "--clustering", str(inputs / "clustering.json"),
+                "--outdir", str(tmp_path / "desc"),
+            ],
+            "allocate": [
+                "allocate", "--model", str(inputs / "model.json"), *categorical,
+                *schema, "--out", str(tmp_path / "alloc.csv"),
+            ],
+            "run": ["run", "--config", str(inputs / "config.json")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}] {path}: ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_evaluate_reports_empty_file(self, data_dir, tmp_path, capsys):
         empty = tmp_path / "alloc.csv"

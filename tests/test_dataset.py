@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,3 +283,26 @@ def test_tables_are_immutable(housing_schema):
         d.continuous.values[0, 0] = 1.0
     with pytest.raises(ValueError):
         d.categorical.codes[0, 0] = 1
+
+
+def test_only_dataset_imports_csv_or_json():
+    """Every on-disk format lives in somalloc.dataset; no other module of
+    the package may read or write CSV or JSON itself."""
+    package = Path(__file__).resolve().parents[1] / "src" / "somalloc"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "dataset.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] in ("csv", "json")
+            ]
+    assert offenders == []

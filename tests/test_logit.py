@@ -179,6 +179,11 @@ class TestFit:
         assert model.diagnostics.iterations < 100
         assert model.diagnostics.gradient_max < 1e-8
 
+    def test_label_count_must_match_rows(self):
+        rows = np.array([[0], [1], [0], [1]])
+        with pytest.raises(ValueError, match="3 labels for 4 rows"):
+            fit_logit(rows, np.array([0, 1, 0]), 2, binary_spec())
+
     def test_class_absent_from_labels_rejected(self):
         rows = np.array([[0], [1], [0]])
         with pytest.raises(ValueError, match="absent"):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from somalloc import som
 from somalloc.dataset import ContinuousTable, DataError
 from somalloc.som import (
     Codebook,
@@ -261,18 +262,21 @@ class TestAssignment:
         assert assign_one(cb, np.array([np.nan, 6.2])) == 3
 
     def test_assign_all_agrees_with_assign(self):
-        rng = np.random.default_rng(6)
         cb = self._codebook()
-        values = rng.uniform(0, 6, size=(50, 2))
-        observed = rng.random((50, 2)) > 0.2
-        observed[~observed.any(axis=1), 0] = True
-        data = ContinuousTable(np.where(observed, values, 0.0), observed)
-        batch = assign_all(cb, data)
-        singles = []
-        for x, obs in zip(data.values, data.observed):
-            dist = [np.mean((x[obs] - c[obs]) ** 2) for c in cb.code_vectors]
-            singles.append(int(np.argmin(dist)))
-        assert_array_equal(batch, singles)
+        # 50 rows fit in one block of the distance kernel; the larger table
+        # spans several blocks and ends in a partial one
+        for n in (50, 2 * som._BLOCK_ROWS + 7):
+            rng = np.random.default_rng(6)
+            values = rng.uniform(0, 6, size=(n, 2))
+            observed = rng.random((n, 2)) > 0.2
+            observed[~observed.any(axis=1), 0] = True
+            data = ContinuousTable(np.where(observed, values, 0.0), observed)
+            batch = assign_all(cb, data)
+            singles = []
+            for x, obs in zip(data.values, data.observed):
+                dist = [np.mean((x[obs] - c[obs]) ** 2) for c in cb.code_vectors]
+                singles.append(int(np.argmin(dist)))
+            assert_array_equal(batch, singles)
 
 
 class TestQuantizationError:
