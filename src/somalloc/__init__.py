@@ -30,7 +30,6 @@ from .dataset import (
     subset_continuous,
 )
 from .logit import (
-    EncodingSpec,
     LogitModel,
     encode_rows,
     fit_logit,

@@ -56,8 +56,9 @@ def allocate(
     """Assign each row to a cluster from its membership probabilities.
 
     argmax picks the most probable cluster (ties to the lowest index);
-    sample draws from the probability vector by inverse CDF, one substream
-    per row (seed xor row index) so results do not depend on row order.
+    sample draws from the probability vector by inverse CDF, with the
+    uniform of row i taken from a counter-based (Philox) stream keyed on
+    ``seed``, so it depends only on (seed, i).
     """
     if mode not in ("argmax", "sample"):
         raise ValueError(f"unknown allocation mode {mode!r}")
@@ -66,11 +67,9 @@ def allocate(
     if mode == "argmax":
         assigned = np.argmax(probs, axis=1)
     else:
-        assigned = np.empty(probs.shape[0], dtype=np.int64)
-        for i in range(probs.shape[0]):
-            u = np.random.default_rng(seed ^ i).random()
-            cum = np.cumsum(probs[i])
-            assigned[i] = min(int(np.searchsorted(cum, u, side="right")), m.k - 1)
+        u = np.random.Generator(np.random.Philox(key=seed)).random(probs.shape[0])
+        below = np.cumsum(probs, axis=1) <= u[:, None]
+        assigned = np.minimum(below.sum(axis=1), m.k - 1)
     missing = (codes == MISSING_CODE).sum(axis=1)
     return AllocationResult(
         probabilities=probs, assigned=assigned, mode=mode, missing_counts=missing

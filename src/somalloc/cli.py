@@ -107,12 +107,11 @@ def _cmd_fit(args) -> int:
     schema = Schema.load(args.schema)
     table = load_categorical(args.categorical, schema)
     labels = load_labels(args.labels)
-    spec = logit.EncodingSpec.from_schema(schema)
     model = logit.fit_logit(
         table,
         labels,
         args.classes,
-        spec,
+        schema.categorical_vars,
         tol=args.tol,
         max_iter=args.max_iter,
         ridge=args.ridge,
@@ -130,8 +129,9 @@ def _cmd_fit(args) -> int:
 def _cmd_allocate(args) -> int:
     schema = Schema.load(args.schema)
     model = logit.load_model(args.model)
-    expected = zip(model.encoding.variables, model.encoding.modalities)
-    for got, want in itertools.zip_longest(schema.categorical_vars, expected):
+    for got, want in itertools.zip_longest(
+        schema.categorical_vars, model.categorical_vars
+    ):
         if got != want:
             raise DataError(
                 f"{args.schema}: categorical variable {(got or want)[0]!r} does "

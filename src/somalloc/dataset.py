@@ -93,12 +93,15 @@ class Schema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
+        compositional = d.get("compositional", False)
+        if not isinstance(compositional, bool):
+            raise DataError(f"compositional must be true or false, got {compositional!r}")
         return cls(
             continuous_names=tuple(d["continuous"]),
             categorical_vars=tuple(
                 (v["name"], tuple(v["modalities"])) for v in d["categorical"]
             ),
-            compositional=bool(d.get("compositional", False)),
+            compositional=compositional,
         )
 
     def save(self, path) -> None:
@@ -357,9 +360,14 @@ def load_labels(path) -> np.ndarray:
         col = header.index("assigned")
     else:
         raise DataError(f"{path}: expected a label column or an allocations file")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {i + 1}: expected {len(header)} fields, got {len(row)}"
+            )
     try:
         return np.array([int(r[col]) for r in rows], dtype=np.int64)
-    except (ValueError, IndexError):
+    except ValueError:
         raise DataError(f"{path}: malformed label column") from None
 
 

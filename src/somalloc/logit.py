@@ -14,93 +14,43 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import MISSING_CODE, CategoricalTable, Schema, read_json, write_json
+from .dataset import MISSING_CODE, CategoricalTable, read_json, write_json
 
 SEPARATION_COEF_LIMIT = 30.0
 
 
-@dataclass(frozen=True)
-class EncodingSpec:
-    """Dummy coding of the categorical block into a feature vector.
+def design_width(categorical_vars) -> int:
+    """Columns of the design: the intercept plus one per non-reference modality."""
+    return 1 + sum(len(mods) - 1 for _, mods in categorical_vars)
 
-    Per variable, indicators for every modality except the last (the
-    reference); the reference modality and missing cells both encode as an
-    all-zero block, so an unknown cell contributes nothing to any score.
+
+def encode_rows(rows: CategoricalTable | np.ndarray, categorical_vars) -> np.ndarray:
+    """(N, d) design matrix over the ``(name, modalities)`` layout.
+
+    An intercept column, then per variable indicators for every modality
+    except the last (the reference); the reference modality and missing
+    cells both encode as an all-zero block, so an unknown cell contributes
+    nothing to any score.
     """
-
-    variables: tuple[str, ...]
-    modalities: tuple[tuple[str, ...], ...]
-    intercept: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(
-            self, "modalities", tuple(tuple(m) for m in self.modalities)
-        )
-        if len(self.variables) != len(self.modalities):
-            raise ValueError("one modality list per variable required")
-        for name, mods in zip(self.variables, self.modalities):
-            if len(mods) < 2:
-                raise ValueError(f"variable {name!r} needs >= 2 modalities")
-
-    @classmethod
-    def from_schema(cls, schema: Schema, intercept: bool = True) -> "EncodingSpec":
-        return cls(
-            variables=schema.categorical_names,
-            modalities=tuple(mods for _, mods in schema.categorical_vars),
-            intercept=intercept,
-        )
-
-    @property
-    def width(self) -> int:
-        return int(self.intercept) + sum(len(m) - 1 for m in self.modalities)
-
-    @property
-    def block_offsets(self) -> tuple[int, ...]:
-        offsets = []
-        pos = int(self.intercept)
-        for mods in self.modalities:
-            offsets.append(pos)
-            pos += len(mods) - 1
-        return tuple(offsets)
-
-    def to_dict(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "modalities": [list(m) for m in self.modalities],
-            "intercept": self.intercept,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncodingSpec":
-        return cls(
-            variables=tuple(d["variables"]),
-            modalities=tuple(tuple(m) for m in d["modalities"]),
-            intercept=bool(d["intercept"]),
-        )
-
-
-def encode_rows(rows: CategoricalTable | np.ndarray, spec: EncodingSpec) -> np.ndarray:
-    """(N, d) feature matrix, vectorized over rows."""
     codes = rows.codes if isinstance(rows, CategoricalTable) else np.asarray(rows)
     codes = codes.astype(np.int64, copy=False)
-    if codes.ndim != 2 or codes.shape[1] != len(spec.variables):
+    if codes.ndim != 2 or codes.shape[1] != len(categorical_vars):
         raise ValueError("rows must be N x l with one column per variable")
-    n = codes.shape[0]
-    design = np.zeros((n, spec.width))
-    if spec.intercept:
-        design[:, 0] = 1.0
-    for j, (offset, mods) in enumerate(zip(spec.block_offsets, spec.modalities)):
+    design = np.zeros((codes.shape[0], design_width(categorical_vars)))
+    design[:, 0] = 1.0
+    offset = 1
+    for j, (name, mods) in enumerate(categorical_vars):
         col = codes[:, j]
         bad = (col != MISSING_CODE) & ((col < 0) | (col >= len(mods)))
         if bad.any():
             row = int(np.flatnonzero(bad)[0])
             raise ValueError(
-                f"row {row + 1}, variable {spec.variables[j]!r}: "
+                f"row {row + 1}, variable {name!r}: "
                 f"modality index {col[row]} out of range"
             )
         for mod in range(len(mods) - 1):
             design[:, offset + mod] = col == mod
+        offset += len(mods) - 1
     return design
 
 
@@ -122,21 +72,27 @@ class FitDiagnostics:
 
 @dataclass(frozen=True)
 class LogitModel:
-    """K classes, reference class K-1, beta of shape (K-1, width)."""
+    """K classes, reference class K-1, beta of shape (K-1, width) over the
+    design of ``categorical_vars``, the schema's ``(name, modalities)``
+    layout."""
 
     k: int
     beta: np.ndarray
-    encoding: EncodingSpec
+    categorical_vars: tuple[tuple[str, tuple[str, ...]], ...]
     diagnostics: FitDiagnostics
 
     def __post_init__(self):
+        layout = tuple((name, tuple(mods)) for name, mods in self.categorical_vars)
+        object.__setattr__(self, "categorical_vars", layout)
+        for name, mods in layout:
+            if len(mods) < 2:
+                raise ValueError(f"variable {name!r} needs >= 2 modalities")
         beta = np.asarray(self.beta, dtype=np.float64)
         if self.k < 2:
             raise ValueError("need at least two classes")
-        if beta.shape != (self.k - 1, self.encoding.width):
-            raise ValueError(
-                f"beta must be ({self.k - 1}, {self.encoding.width}), got {beta.shape}"
-            )
+        width = design_width(layout)
+        if beta.shape != (self.k - 1, width):
+            raise ValueError(f"beta must be ({self.k - 1}, {width}), got {beta.shape}")
         if not np.isfinite(beta).all():
             raise ValueError("coefficients must be finite")
         beta = beta.copy()
@@ -195,10 +151,6 @@ def _hessian(
     return h
 
 
-class _RefitWithRidge(Exception):
-    pass
-
-
 def _newton(
     design: np.ndarray,
     labels: np.ndarray,
@@ -206,25 +158,23 @@ def _newton(
     tol: float,
     max_iter: int,
     ridge: float,
-) -> tuple[np.ndarray, FitDiagnostics]:
+) -> tuple[np.ndarray, FitDiagnostics] | None:
+    """Newton-Raphson with step halving from a zero start; None on a
+    singular Hessian, a stalled line search or, without ridge, coefficients
+    running past the separation limit."""
     d = design.shape[1]
     beta = np.zeros((k - 1, d))
     ll, grad, probs = _loglik_grad(beta, design, labels, k, ridge)
     trace = [ll]
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        gmax = float(np.abs(grad).max())
+    gmax = float(np.abs(grad).max())
+    for _ in range(max_iter):
         if gmax < tol:
-            converged = True
-            iterations -= 1
             break
         hess = _hessian(design, probs, k, ridge)
         try:
-            step = np.linalg.solve(-hess, grad)
+            step = np.linalg.solve(-hess, grad).reshape(k - 1, d)
         except np.linalg.LinAlgError:
-            raise _RefitWithRidge from None
-        step = step.reshape(k - 1, d)
+            return None
         t = 1.0
         # near the optimum the objective is flat at float resolution and the
         # full Newton step can land one ulp below; accept such steps when the
@@ -239,24 +189,19 @@ def _newton(
                 break
             t *= 0.5
             if t < 1e-12:
-                # stalled line search: treat like a numeric failure
-                raise _RefitWithRidge
+                return None
         beta, ll, grad, probs = cand, ll_new, grad_new, probs_new
         trace.append(ll)
+        gmax = float(np.abs(grad).max())
         if ridge == 0.0 and float(np.abs(beta).max()) > SEPARATION_COEF_LIMIT:
             # runaway coefficients signal (quasi-)separation
-            raise _RefitWithRidge
-    else:
-        gmax = float(np.abs(grad).max())
-        converged = gmax < tol
-        iterations = max_iter
-    gmax = float(np.abs(grad).max())
+            return None
     diag = FitDiagnostics(
         log_likelihood=ll,
         gradient_max=gmax,
-        iterations=iterations,
+        iterations=len(trace) - 1,
         ridge=ridge,
-        converged=converged,
+        converged=gmax < tol,
         ll_trace=tuple(trace),
     )
     return beta, diag
@@ -266,7 +211,7 @@ def fit_logit(
     rows: CategoricalTable | np.ndarray,
     labels: np.ndarray,
     k: int,
-    spec: EncodingSpec,
+    categorical_vars,
     tol: float = 1e-8,
     max_iter: int = 100,
     ridge: float = 1e-6,
@@ -280,7 +225,7 @@ def fit_logit(
     still returned with its diagnostics.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    design = encode_rows(rows, spec)
+    design = encode_rows(rows, categorical_vars)
     if labels.shape != (design.shape[0],):
         raise ValueError(
             f"{labels.size} labels for {design.shape[0]} rows: "
@@ -294,20 +239,19 @@ def fit_logit(
     if not present.all():
         missing = np.flatnonzero(~present)
         raise ValueError(f"classes absent from labels: {missing.tolist()}")
-    try:
-        beta, diag = _newton(design, labels, k, tol, max_iter, 0.0)
-    except _RefitWithRidge:
+    fit = _newton(design, labels, k, tol, max_iter, 0.0)
+    if fit is None:
         if ridge <= 0.0:
             raise ValueError(
                 "fit failed (singular Hessian or separated data) and the "
                 "ridge fallback is disabled"
-            ) from None
-        try:
-            beta, diag = _newton(design, labels, k, tol, max_iter, ridge)
-        except _RefitWithRidge:
+            )
+        fit = _newton(design, labels, k, tol, max_iter, ridge)
+        if fit is None:
             raise ValueError(
                 "fit failed even with the ridge penalty; data may be degenerate"
-            ) from None
+            )
+    beta, diag = fit
     if not diag.converged:
         warnings.warn(
             f"logit fit did not converge in {diag.iterations} iterations "
@@ -315,7 +259,9 @@ def fit_logit(
             RuntimeWarning,
             stacklevel=2,
         )
-    return LogitModel(k=k, beta=beta, encoding=spec, diagnostics=diag)
+    return LogitModel(
+        k=k, beta=beta, categorical_vars=categorical_vars, diagnostics=diag
+    )
 
 
 def log_likelihood(
@@ -324,13 +270,13 @@ def log_likelihood(
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= m.k):
         raise ValueError(f"labels must lie in [0, {m.k})")
-    design = encode_rows(rows, m.encoding)
+    design = encode_rows(rows, m.categorical_vars)
     ll, _, _ = _loglik_grad(m.beta, design, labels, m.k, 0.0)
     return ll
 
 
 def predict_proba_rows(m: LogitModel, rows: CategoricalTable | np.ndarray) -> np.ndarray:
-    design = encode_rows(rows, m.encoding)
+    design = encode_rows(rows, m.categorical_vars)
     return _probabilities(design @ m.beta.T)
 
 
@@ -339,7 +285,11 @@ def model_to_dict(m: LogitModel) -> dict:
         "version": 1,
         "classes": m.k,
         "reference_class": m.reference_class,
-        "encoding": m.encoding.to_dict(),
+        "encoding": {
+            "variables": [name for name, _ in m.categorical_vars],
+            "modalities": [list(mods) for _, mods in m.categorical_vars],
+            "intercept": True,
+        },
         "beta": m.beta.tolist(),
         "diagnostics": m.diagnostics.to_dict(),
     }
@@ -348,11 +298,16 @@ def model_to_dict(m: LogitModel) -> dict:
 def model_from_dict(d: dict) -> LogitModel:
     if d.get("version") != 1:
         raise ValueError(f"unsupported model version {d.get('version')!r}")
+    enc = d["encoding"]
+    if enc["intercept"] is not True:
+        raise ValueError("model encoding must have an intercept")
+    if len(enc["variables"]) != len(enc["modalities"]):
+        raise ValueError("encoding needs one modality list per variable")
     diag = d["diagnostics"]
     return LogitModel(
         k=int(d["classes"]),
         beta=np.asarray(d["beta"], dtype=np.float64),
-        encoding=EncodingSpec.from_dict(d["encoding"]),
+        categorical_vars=tuple(zip(enc["variables"], enc["modalities"])),
         diagnostics=FitDiagnostics(
             log_likelihood=float(diag["log_likelihood"]),
             gradient_max=float(diag["gradient_max"]),

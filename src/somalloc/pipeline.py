@@ -178,12 +178,11 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> dict:
         describe(train, labels_train, n_clusters, outdir)
 
     with _stage("fit"):
-        spec = logit.EncodingSpec.from_schema(train.schema)
         model = logit.fit_logit(
             train.categorical,
             labels_train,
             n_clusters,
-            spec,
+            train.schema.categorical_vars,
             tol=cfg.tol,
             max_iter=cfg.max_iter,
             ridge=cfg.ridge,

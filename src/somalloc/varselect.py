@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataError, Dataset, format_float, write_csv
-from .logit import EncodingSpec, encode_rows
+from .logit import encode_rows
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def select_variables(d: Dataset, threshold: float = 0.08) -> AnovaReport:
         raise DataError(f"threshold must be in (0, 1), got {threshold}")
     # the logit's reference-cell coding: full rank with the intercept, and F
     # and R-squared do not depend on which full-rank coding is used
-    design = encode_rows(d.categorical, EncodingSpec.from_schema(d.schema))
+    design = encode_rows(d.categorical, d.schema.categorical_vars)
     screens = []
     for j, name in enumerate(d.schema.continuous_names):
         fit = fit_additive_anova(

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from somalloc import allocation, logit, som, varselect
 from somalloc.allocation import ContingencyTable, build_contingency, evaluate
 from somalloc.dataset import ContinuousTable, save_dataset, split_dataset, subset_continuous
-from somalloc.logit import EncodingSpec, FitDiagnostics, LogitModel, _loglik_grad
+from somalloc.logit import FitDiagnostics, LogitModel, _loglik_grad, design_width
 from somalloc.pipeline import PipelineConfig, run_pipeline
 from somalloc.synth import GeneratorSpec, generate
 
@@ -45,7 +45,7 @@ class TestCriterion2LogitCellOracle:
     def test_saturated_two_by_two_sample(self):
         rng = np.random.default_rng(20240)
         cases = rng.integers(1, 21, size=(200, 4))
-        spec = EncodingSpec(variables=("v",), modalities=(("A", "B"),))
+        spec = (("v", ("A", "B")),)
         start = time.perf_counter()
         worst = 0.0
         for a, b, c, d in cases:
@@ -80,17 +80,15 @@ class TestCriterion3GradientCheck:
             counts = rng.integers(2, 5, size=n_vars)
             while 1 + (counts - 1).sum() > 12:
                 counts = rng.integers(2, 5, size=n_vars)
-            spec = EncodingSpec(
-                variables=tuple(f"v{j}" for j in range(n_vars)),
-                modalities=tuple(
-                    tuple(f"m{i}" for i in range(m)) for m in counts
-                ),
+            spec = tuple(
+                (f"v{j}", tuple(f"m{i}" for i in range(m)))
+                for j, m in enumerate(counts)
             )
             n = int(rng.integers(30, 120))
             codes = np.column_stack([rng.integers(m, size=n) for m in counts])
             design = logit.encode_rows(codes, spec)
             labels = rng.integers(k, size=n)
-            beta = rng.normal(scale=0.7, size=(k - 1, spec.width))
+            beta = rng.normal(scale=0.7, size=(k - 1, design_width(spec)))
             _, grad, _ = _loglik_grad(beta, design, labels, k, 0.0)
             fd = np.zeros_like(grad)
             flat = beta.ravel()
@@ -138,7 +136,7 @@ class TestCriterion4AnovaOracle:
                 ),
                 compositional=False,
             )
-            design = logit.encode_rows(codes, EncodingSpec.from_schema(schema))
+            design = logit.encode_rows(codes, schema.categorical_vars)
             x = rng.normal(size=n) + codes @ rng.normal(size=n_factors)
             fit = varselect.fit_additive_anova(x, None, design)
             fisher, r2 = self._oracle(x, design)
@@ -239,7 +237,7 @@ class TestCriterion7EndToEnd:
             labels_train = som.cluster_labels(cb, train.continuous)
             shuffled = np.random.default_rng(seed + 10_000).permutation(labels_train)
             base_model = logit.fit_logit(
-                train.categorical, shuffled, 5, EncodingSpec.from_schema(train.schema)
+                train.categorical, shuffled, 5, train.schema.categorical_vars
             )
             base_alloc = allocation.allocate(base_model, test.categorical)
             truth = allocation.true_classes(cb, test.continuous)
@@ -312,15 +310,13 @@ class TestCriterion8Determinism:
 class TestCriterion9ProbabilityNormalization:
     def test_overflow_safe_softmax_over_random_inputs(self):
         rng = np.random.default_rng(900)
-        spec = EncodingSpec(
-            variables=("u", "v"), modalities=(("a", "b"), ("x", "y", "z"))
-        )
+        spec = (("u", ("a", "b")), ("v", ("x", "y", "z")))
         diag = FitDiagnostics(0.0, 0.0, 0, 0.0, True)
         worst = 0.0
         for _ in range(10_000):
             k = int(rng.integers(2, 7))
-            beta = rng.uniform(-1e3, 1e3, size=(k - 1, spec.width))
-            model = LogitModel(k=k, beta=beta, encoding=spec, diagnostics=diag)
+            beta = rng.uniform(-1e3, 1e3, size=(k - 1, design_width(spec)))
+            model = LogitModel(k=k, beta=beta, categorical_vars=spec, diagnostics=diag)
             row = [int(rng.integers(-1, 2)), int(rng.integers(-1, 3))]
             probs = logit.predict_proba_rows(model, np.array([row]))[0]
             assert np.isfinite(probs).all()

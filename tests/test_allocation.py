@@ -12,7 +12,7 @@ from somalloc.allocation import (
     true_classes,
 )
 from somalloc.dataset import ContinuousTable
-from somalloc.logit import EncodingSpec, FitDiagnostics, LogitModel
+from somalloc.logit import FitDiagnostics, LogitModel
 from somalloc.som import Codebook, SomConfig, reduce_codebook, train_som
 from somalloc.synth import GeneratorSpec, generate
 
@@ -44,9 +44,9 @@ def intercept_model(probs):
     k = probs.size
     beta = np.zeros((k - 1, 2))
     beta[:, 0] = np.log(probs[:-1] / probs[-1])
-    spec = EncodingSpec(variables=("v",), modalities=(("a", "b"),))
+    spec = (("v", ("a", "b")),)
     return LogitModel(
-        k=k, beta=beta, encoding=spec, diagnostics=FitDiagnostics(0, 0, 0, 0, True)
+        k=k, beta=beta, categorical_vars=spec, diagnostics=FitDiagnostics(0, 0, 0, 0, True)
     )
 
 
@@ -75,6 +75,41 @@ class TestAllocate:
         a = allocate(model, rows, mode="sample", seed=5)
         b = allocate(model, rows, mode="sample", seed=5)
         assert_array_equal(a.assigned, b.assigned)
+
+    def test_sampling_matches_per_row_inverse_cdf(self):
+        rng = np.random.default_rng(11)
+        model = LogitModel(
+            k=4,
+            beta=rng.normal(size=(3, 3)),
+            categorical_vars=(("v", ("a", "b", "c")),),
+            diagnostics=FitDiagnostics(0, 0, 0, 0, True),
+        )
+        rows = rng.integers(-1, 3, size=(400, 1))
+        result = allocate(model, rows, mode="sample", seed=3)
+        # reference: row i's uniform is the i-th draw of the seed's Philox
+        # stream, inverted through that row's cumulative probabilities
+        u = np.random.Generator(np.random.Philox(key=3)).random(len(rows))
+        expected = [
+            min(int(np.searchsorted(np.cumsum(p), ui, side="right")), 3)
+            for p, ui in zip(result.probabilities, u)
+        ]
+        assert_array_equal(result.assigned, expected)
+
+    def test_sampling_streams_of_neighbouring_seeds_differ(self):
+        # seeds s and s^1 must not reuse each other's draws with the rows
+        # swapped pairwise
+        model = intercept_model([0.3, 0.3, 0.4])
+        rows = np.zeros((500, 1), dtype=int)
+        a = allocate(model, rows, mode="sample", seed=0).assigned
+        b = allocate(model, rows, mode="sample", seed=1).assigned
+        assert not np.array_equal(a, b.reshape(-1, 2)[:, ::-1].ravel())
+
+    def test_sampling_of_leading_rows_matches_the_full_table(self):
+        model = intercept_model([0.3, 0.3, 0.4])
+        rows = np.random.default_rng(4).integers(-1, 2, size=(300, 1))
+        full = allocate(model, rows, mode="sample", seed=9).assigned
+        head = allocate(model, rows[:120], mode="sample", seed=9).assigned
+        assert_array_equal(head, full[:120])
 
     def test_missing_cells_counted(self):
         model = intercept_model([0.5, 0.5])

@@ -341,14 +341,23 @@ class TestArtifactChecks:
         assert "clustering dimensions" in capsys.readouterr().err
         assert not (tmp_path / "desc" / "cluster_stats.csv").exists()
 
-    @pytest.mark.parametrize("damage", ["missing-key", "truncated"])
     @pytest.mark.parametrize(
-        "artifact, key, command",
+        "artifact, key, command, damage",
         [
-            ("schema", "categorical", "describe"),
-            ("clustering", "code_vectors", "describe"),
-            ("model", "beta", "allocate"),
-            ("config", "seed", "run"),
+            (artifact, key, command, damage)
+            for artifact, key, command in [
+                ("schema", "categorical", "describe"),
+                ("clustering", "code_vectors", "describe"),
+                ("model", "beta", "allocate"),
+                ("config", "seed", "run"),
+            ]
+            for damage in ["missing-key", "truncated"]
+        ]
+        + [
+            ("schema", "compositional", "describe", "not-a-boolean"),
+            ("model", "encoding", "allocate", "no-intercept"),
+            ("model", "encoding", "allocate", "intercept-flag-false"),
+            ("model", "encoding", "allocate", "modality-list-missing"),
         ],
     )
     def test_malformed_artifact_is_reported_with_its_path(
@@ -362,7 +371,22 @@ class TestArtifactChecks:
             text = text[: len(text) // 2]
         else:
             obj = json.loads(text)
-            del obj[key]
+            if damage == "missing-key":
+                del obj[key]
+            elif damage == "not-a-boolean":
+                obj[key] = "no"
+            elif damage == "no-intercept":
+                # a consistent model without the intercept column
+                obj[key]["intercept"] = False
+                obj["beta"] = [row[1:] for row in obj["beta"]]
+            elif damage == "intercept-flag-false":
+                # beta still has the intercept column: only the flag is wrong
+                obj[key]["intercept"] = False
+            else:
+                # drop the last variable's modalities and its beta columns, so
+                # only the list lengths disagree
+                dropped = len(obj[key]["modalities"].pop()) - 1
+                obj["beta"] = [row[:-dropped] for row in obj["beta"]]
             text = json.dumps(obj)
         path.write_text(text)
         categorical = ["--categorical", str(data_dir / "categorical.csv")]

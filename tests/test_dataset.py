@@ -15,6 +15,7 @@ from somalloc.dataset import (
     Schema,
     load_categorical,
     load_dataset,
+    load_labels,
     renormalize_composition,
     save_dataset,
     split_dataset,
@@ -137,6 +138,11 @@ class TestLoading:
     def test_all_missing_row_rejected(self):
         with pytest.raises(DataError, match="no observed"):
             ContinuousTable(np.zeros((1, 2)), np.zeros((1, 2), bool))
+
+    def test_label_row_with_extra_field_rejected(self, tmp_path):
+        labels = write(tmp_path / "labels.csv", "cluster\n1,5\n2\n")
+        with pytest.raises(DataError, match="row 1: expected 1 fields, got 2"):
+            load_labels(labels)
 
 
 class TestSurveyShape:

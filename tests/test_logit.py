@@ -4,10 +4,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from somalloc.dataset import MISSING_CODE
 from somalloc.logit import (
-    EncodingSpec,
     FitDiagnostics,
     LogitModel,
     _loglik_grad,
+    design_width,
     encode_rows,
     fit_logit,
     log_likelihood,
@@ -19,7 +19,7 @@ from somalloc.synth import GeneratorSpec, generate
 
 
 def binary_spec():
-    return EncodingSpec(variables=("v",), modalities=(("A", "B"),))
+    return (("v", ("A", "B")),)
 
 
 def encode_one(row, spec):
@@ -35,7 +35,7 @@ def proba_one(model, row):
 def make_model(beta, spec, k):
     beta = np.asarray(beta, dtype=float)
     diag = FitDiagnostics(0.0, 0.0, 0, 0.0, True)
-    return LogitModel(k=k, beta=beta, encoding=spec, diagnostics=diag)
+    return LogitModel(k=k, beta=beta, categorical_vars=spec, diagnostics=diag)
 
 
 def cell_rows(a, b, c, d):
@@ -48,57 +48,40 @@ def cell_rows(a, b, c, d):
 
 class TestEncoding:
     def test_reference_modalities_encode_to_zero_block(self):
-        spec = EncodingSpec(
-            variables=("u", "v"), modalities=(("a", "b"), ("x", "y", "z"))
-        )
+        spec = (("u", ("a", "b")), ("v", ("x", "y", "z")))
         y = encode_one([1, 2], spec)  # both at reference (last) modality
         assert_array_equal(y, [1.0, 0.0, 0.0, 0.0])
 
     def test_missing_cell_encodes_like_reference(self):
-        spec = EncodingSpec(
-            variables=("u", "v"), modalities=(("a", "b"), ("x", "y", "z"))
-        )
+        spec = (("u", ("a", "b")), ("v", ("x", "y", "z")))
         assert_array_equal(encode_one([MISSING_CODE, 0], spec), encode_one([1, 0], spec))
 
     def test_one_hot_positions(self):
-        spec = EncodingSpec(
-            variables=("u", "v"), modalities=(("a", "b"), ("x", "y", "z"))
-        )
+        spec = (("u", ("a", "b")), ("v", ("x", "y", "z")))
         assert_array_equal(encode_one([0, 1], spec), [1.0, 1.0, 0.0, 1.0])
 
     def test_survey_width_is_33(self):
         counts = (4, 3, 4, 3, 5, 5, 3, 5, 5, 5)
-        spec = EncodingSpec(
-            variables=tuple(f"v{j}" for j in range(10)),
-            modalities=tuple(tuple(f"m{i}" for i in range(m)) for m in counts),
+        spec = tuple(
+            (f"v{j}", tuple(f"m{i}" for i in range(m))) for j, m in enumerate(counts)
         )
-        assert spec.width == 33
+        assert design_width(spec) == 33
         assert encode_one([0] * 10, spec).shape == (33,)
 
     def test_invalid_modality_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             encode_one([5], binary_spec())
 
-    def test_no_intercept_encoding(self):
-        spec = EncodingSpec(
-            variables=("u",), modalities=(("a", "b", "c"),), intercept=False
-        )
-        assert spec.width == 2
-        assert_array_equal(encode_one([0], spec), [1.0, 0.0])
-        assert_array_equal(encode_one([2], spec), [0.0, 0.0])
-
     def test_encode_rows_matches_encode(self):
         rng = np.random.default_rng(0)
-        spec = EncodingSpec(
-            variables=("u", "v"), modalities=(("a", "b"), ("x", "y", "z"))
-        )
+        spec = (("u", ("a", "b")), ("v", ("x", "y", "z")))
         codes = np.column_stack(
             [rng.integers(-1, 2, size=30), rng.integers(-1, 3, size=30)]
         )
         batch = encode_rows(codes, spec)
         # brute force: intercept, then one indicator per non-reference
         # modality; missing and reference cells leave their block at zero
-        singles = np.zeros((30, spec.width))
+        singles = np.zeros((30, design_width(spec)))
         singles[:, 0] = 1.0
         for i, (u, v) in enumerate(codes):
             if u == 0:
@@ -112,7 +95,7 @@ class TestLogLikelihood:
     def test_zero_coefficients_give_uniform_likelihood(self):
         spec = binary_spec()
         for k in (2, 3, 5):
-            model = make_model(np.zeros((k - 1, spec.width)), spec, k)
+            model = make_model(np.zeros((k - 1, design_width(spec))), spec, k)
             rows = np.array([[0], [1], [0], [1]])
             labels = np.array([0, 1, 0, min(1, k - 1)])
             ll = log_likelihood(model, rows, labels)
@@ -139,7 +122,7 @@ class TestLogLikelihood:
         for _ in range(10):
             noisy = make_model(
                 model.beta + 0.05 * rng.normal(size=model.beta.shape),
-                model.encoding,
+                model.categorical_vars,
                 2,
             )
             assert log_likelihood(noisy, rows, labels) < ll_star
@@ -166,14 +149,14 @@ class TestFit:
                 labels.extend([c] * (r * s))
         rows = np.array(reps)
         labels = np.array(labels)
-        spec = EncodingSpec(variables=("v",), modalities=(("a", "b", "c"),))
+        spec = (("v", ("a", "b", "c")),)
         model = fit_logit(rows, labels, 2, spec)
         assert model.beta[0, 0] == pytest.approx(np.log(4 / 6), abs=1e-8)
         assert_allclose(model.beta[0, 1:], 0.0, atol=1e-8)
 
     def test_converges_on_survey_shaped_data(self):
         dataset, labels = generate(GeneratorSpec.survey_shaped(seed=3, n=3000))
-        spec = EncodingSpec.from_schema(dataset.schema)
+        spec = dataset.schema.categorical_vars
         model = fit_logit(dataset.categorical, labels, 5, spec)
         assert model.diagnostics.converged
         assert model.diagnostics.iterations < 100
@@ -205,7 +188,7 @@ class TestFit:
         rng = np.random.default_rng(4)
         rows = rng.integers(3, size=(200, 1))
         labels = (rows[:, 0] + rng.integers(2, size=200)) % 3
-        spec = EncodingSpec(variables=("v",), modalities=(("a", "b", "c"),))
+        spec = (("v", ("a", "b", "c")),)
         model = fit_logit(rows, labels, 3, spec)
         trace = np.array(model.diagnostics.ll_trace)
         # exact monotonicity up to objective rounding: steps that are flat at
@@ -215,15 +198,13 @@ class TestFit:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        spec = EncodingSpec(
-            variables=("u", "v"), modalities=(("a", "b"), ("x", "y", "z"))
-        )
+        spec = (("u", ("a", "b")), ("v", ("x", "y", "z")))
         design = encode_rows(
             np.column_stack([rng.integers(2, size=60), rng.integers(3, size=60)]),
             spec,
         )
         labels = rng.integers(3, size=60)
-        beta = rng.normal(scale=0.5, size=(2, spec.width))
+        beta = rng.normal(scale=0.5, size=(2, design_width(spec)))
         _, grad, _ = _loglik_grad(beta, design, labels, 3, 0.0)
         h = 1e-5
         fd = np.zeros_like(grad)
@@ -243,9 +224,7 @@ class TestFit:
         n = 400
         rows = np.column_stack([rng.integers(2, size=n), rng.integers(3, size=n)])
         labels = (rows[:, 0] + rows[:, 1] + rng.integers(3, size=n)) % 3
-        spec = EncodingSpec(
-            variables=("u", "v"), modalities=(("a", "b"), ("x", "y", "z"))
-        )
+        spec = (("u", ("a", "b")), ("v", ("x", "y", "z")))
         base = fit_logit(rows, labels, 3, spec, tol=1e-12, max_iter=200)
         # swap class 0 with class 2 (the reference) and refit
         swapped = labels.copy()
@@ -270,10 +249,8 @@ class TestPredict:
 
     def test_matches_naive_formula_on_small_scores(self):
         rng = np.random.default_rng(7)
-        spec = EncodingSpec(
-            variables=("u", "v"), modalities=(("a", "b"), ("x", "y", "z"))
-        )
-        model = make_model(rng.normal(scale=0.8, size=(3, spec.width)), spec, 4)
+        spec = (("u", ("a", "b")), ("v", ("x", "y", "z")))
+        model = make_model(rng.normal(scale=0.8, size=(3, design_width(spec))), spec, 4)
         codes = np.column_stack(
             [rng.integers(2, size=50), rng.integers(3, size=50)]
         )
@@ -287,7 +264,7 @@ class TestPredict:
         rng = np.random.default_rng(8)
         spec = binary_spec()
         for _ in range(200):
-            beta = rng.uniform(-1e3, 1e3, size=(3, spec.width))
+            beta = rng.uniform(-1e3, 1e3, size=(3, design_width(spec)))
             model = make_model(beta, spec, 4)
             probs = proba_one(model, [int(rng.integers(2))])
             assert np.isfinite(probs).all()
@@ -316,7 +293,7 @@ class TestSerialization:
         model = fit_logit(rows, labels, 2, binary_spec())
         again = model_from_dict(model_to_dict(model))
         assert_array_equal(again.beta, model.beta)
-        assert again.encoding == model.encoding
+        assert again.categorical_vars == model.categorical_vars
         assert_allclose(
             proba_one(again, [0]), proba_one(model, [0]), atol=0
         )

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from somalloc.logit import EncodingSpec, fit_logit
+from somalloc.logit import fit_logit
 from somalloc.som import SomConfig, train_som
 from somalloc.synth import (
     SURVEY_FLAT_DIMS,
@@ -94,9 +94,7 @@ class TestGenerate:
     def test_zero_dependence_collapses_logit_to_intercepts(self):
         spec = small_spec(seed=7, n=6000, dependence=0.0, missing_rate=0.0)
         d, labels = generate(spec)
-        model = fit_logit(
-            d.categorical, labels, 2, EncodingSpec.from_schema(d.schema)
-        )
+        model = fit_logit(d.categorical, labels, 2, d.schema.categorical_vars)
         slopes = model.beta[:, 1:]
         assert np.abs(slopes).max() < 0.3
         priors = np.bincount(labels) / labels.size

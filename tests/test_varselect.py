@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from somalloc.dataset import CategoricalTable, ContinuousTable, DataError, Dataset, Schema
-from somalloc.logit import EncodingSpec, encode_rows
+from somalloc.logit import encode_rows
 from somalloc.varselect import fit_additive_anova, select_variables
 
 from conftest import make_dataset
@@ -13,7 +13,7 @@ from conftest import make_dataset
 
 def design_of(table, schema):
     """The screening design: select_variables' call of the logit encoder."""
-    return encode_rows(table, EncodingSpec.from_schema(schema))
+    return encode_rows(table, schema.categorical_vars)
 
 
 def normal_equations_oracle(y, design):
