@@ -17,6 +17,7 @@ import numpy as np
 from .dataset import MISSING_CODE, CategoricalTable, read_json, write_json
 
 SEPARATION_COEF_LIMIT = 30.0
+_BLOCK_ROWS = 256  # rows per block of the Hessian accumulation
 
 
 def design_width(categorical_vars) -> int:
@@ -136,18 +137,28 @@ def _loglik_grad(
 def _hessian(
     design: np.ndarray, probs: np.ndarray, k: int, ridge: float
 ) -> np.ndarray:
-    """Hessian of the penalized log-likelihood over the stacked coefficients."""
-    d = design.shape[1]
-    h = np.zeros(((k - 1) * d, (k - 1) * d))
-    for a in range(k - 1):
-        for b in range(a, k - 1):
-            w = probs[:, a] * ((1.0 if a == b else 0.0) - probs[:, b])
-            block = -(design * w[:, None]).T @ design
-            h[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
-            if a != b:
-                h[b * d : (b + 1) * d, a * d : (a + 1) * d] = block
+    """Hessian of the penalized log-likelihood over the stacked coefficients.
+
+    With A = [X p_1 | ... | X p_{K-1}] (each row of X scaled by one class
+    probability), H = A'A - blockdiag(X'A) - ridge I.  A'A and X'A are
+    accumulated over blocks of _BLOCK_ROWS rows, so the temporaries do not
+    grow with the number of rows.
+    """
+    n, d = design.shape
+    m = (k - 1) * d
+    h = np.zeros((m, m))
+    xta = np.zeros((d, m))
+    for start in range(0, n, _BLOCK_ROWS):
+        x = design[start : start + _BLOCK_ROWS]
+        p = probs[start : start + _BLOCK_ROWS, : k - 1]
+        a = (p[:, :, None] * x[:, None, :]).reshape(x.shape[0], m)
+        h += a.T @ a
+        xta += x.T @ a
+    for c in range(k - 1):
+        block = slice(c * d, (c + 1) * d)
+        h[block, block] -= xta[:, block]
     if ridge:
-        h -= ridge * np.eye((k - 1) * d)
+        h -= ridge * np.eye(m)
     return h
 
 
@@ -207,6 +218,18 @@ def _newton(
     return beta, diag
 
 
+def _checked_labels(labels, n_rows: int, k: int) -> np.ndarray:
+    """``labels`` as int64, after checking one label per row, each in [0, k)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (n_rows,):
+        raise ValueError(
+            f"{labels.size} labels for {n_rows} rows: need exactly one label per row"
+        )
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"labels must lie in [0, {k})")
+    return labels
+
+
 def fit_logit(
     rows: CategoricalTable | np.ndarray,
     labels: np.ndarray,
@@ -224,17 +247,10 @@ def fit_logit(
     Non-convergence after the fallback is warned about, and the model is
     still returned with its diagnostics.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     design = encode_rows(rows, categorical_vars)
-    if labels.shape != (design.shape[0],):
-        raise ValueError(
-            f"{labels.size} labels for {design.shape[0]} rows: "
-            "need exactly one label per row"
-        )
+    labels = _checked_labels(labels, design.shape[0], k)
     if labels.size == 0:
         raise ValueError("no rows to fit")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError(f"labels must lie in [0, {k})")
     present = np.bincount(labels, minlength=k) > 0
     if not present.all():
         missing = np.flatnonzero(~present)
@@ -267,10 +283,8 @@ def fit_logit(
 def log_likelihood(
     m: LogitModel, rows: CategoricalTable | np.ndarray, labels: np.ndarray
 ) -> float:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= m.k):
-        raise ValueError(f"labels must lie in [0, {m.k})")
     design = encode_rows(rows, m.categorical_vars)
+    labels = _checked_labels(labels, design.shape[0], m.k)
     ll, _, _ = _loglik_grad(m.beta, design, labels, m.k, 0.0)
     return ll
 

@@ -1,19 +1,30 @@
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from somalloc.dataset import MISSING_CODE
 from somalloc.logit import (
+    _BLOCK_ROWS,
     FitDiagnostics,
     LogitModel,
+    _hessian,
     _loglik_grad,
+    _probabilities,
     design_width,
     encode_rows,
     fit_logit,
+    load_model,
     log_likelihood,
     model_from_dict,
     model_to_dict,
     predict_proba_rows,
+    save_model,
 )
 from somalloc.synth import GeneratorSpec, generate
 
@@ -46,6 +57,26 @@ def cell_rows(a, b, c, d):
     return rows, labels
 
 
+def survey_spec():
+    counts = (4, 3, 4, 3, 5, 5, 3, 5, 5, 5)
+    return tuple(
+        (f"v{j}", tuple(f"m{i}" for i in range(m))) for j, m in enumerate(counts)
+    )
+
+
+def random_design_and_probs(n, k, seed):
+    """A survey-width design with some missing cells, and the softmax of
+    random scores over it."""
+    rng = np.random.default_rng(seed)
+    spec = survey_spec()
+    codes = np.column_stack(
+        [rng.integers(MISSING_CODE, len(mods), size=n) for _, mods in spec]
+    )
+    design = encode_rows(codes, spec)
+    beta = rng.normal(scale=0.7, size=(k - 1, design.shape[1]))
+    return design, _probabilities(design @ beta.T)
+
+
 class TestEncoding:
     def test_reference_modalities_encode_to_zero_block(self):
         spec = (("u", ("a", "b")), ("v", ("x", "y", "z")))
@@ -61,10 +92,7 @@ class TestEncoding:
         assert_array_equal(encode_one([0, 1], spec), [1.0, 1.0, 0.0, 1.0])
 
     def test_survey_width_is_33(self):
-        counts = (4, 3, 4, 3, 5, 5, 3, 5, 5, 5)
-        spec = tuple(
-            (f"v{j}", tuple(f"m{i}" for i in range(m))) for j, m in enumerate(counts)
-        )
+        spec = survey_spec()
         assert design_width(spec) == 33
         assert encode_one([0] * 10, spec).shape == (33,)
 
@@ -167,6 +195,26 @@ class TestFit:
         with pytest.raises(ValueError, match="3 labels for 4 rows"):
             fit_logit(rows, np.array([0, 1, 0]), 2, binary_spec())
 
+    @pytest.mark.parametrize("count", [2, 7])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rows, labels: fit_logit(rows, labels, 2, binary_spec()),
+            lambda rows, labels: log_likelihood(
+                make_model(np.zeros((1, 2)), binary_spec(), 2), rows, labels
+            ),
+        ],
+        ids=["fit_logit", "log_likelihood"],
+    )
+    def test_label_count_checked_on_both_entry_points(self, call, count):
+        rows = np.array([[0], [1], [0], [1], [0]])
+        labels = np.arange(count) % 2
+        with pytest.raises(
+            ValueError,
+            match=f"^{count} labels for 5 rows: need exactly one label per row$",
+        ):
+            call(rows, labels)
+
     def test_class_absent_from_labels_rejected(self):
         rows = np.array([[0], [1], [0]])
         with pytest.raises(ValueError, match="absent"):
@@ -237,6 +285,44 @@ class TestFit:
         assert not np.allclose(base.beta, other.beta)
 
 
+def hessian_by_blocks(design, probs, k, ridge):
+    """The Hessian one (K-1) x (K-1) block at a time:
+    H_ab = -X' diag(p_a (delta_ab - p_b)) X, minus ridge on the diagonal."""
+    d = design.shape[1]
+    h = np.zeros(((k - 1) * d, (k - 1) * d))
+    for a in range(k - 1):
+        for b in range(k - 1):
+            w = probs[:, a] * (float(a == b) - probs[:, b])
+            h[a * d : (a + 1) * d, b * d : (b + 1) * d] = -(design * w[:, None]).T @ design
+    return h - ridge * np.eye(h.shape[0])
+
+
+class TestHessian:
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    def test_matches_per_block_formula(self, k, ridge):
+        # two full row blocks and a partial third
+        design, probs = random_design_and_probs(2 * _BLOCK_ROWS + 7, k, seed=10 + k)
+        h = _hessian(design, probs, k, ridge)
+        assert_allclose(h, hessian_by_blocks(design, probs, k, ridge), rtol=1e-12, atol=1e-10)
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        k = 4
+
+        def traced_peak(n):
+            design, probs = random_design_and_probs(n, k, seed=n)
+            tracemalloc.start()
+            try:
+                _hessian(design, probs, k, 0.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        a_block_bytes = _BLOCK_ROWS * (k - 1) * design_width(survey_spec()) * 8
+        growth = traced_peak(8 * _BLOCK_ROWS) - traced_peak(2 * _BLOCK_ROWS)
+        assert growth <= a_block_bytes
+
+
 class TestPredict:
     def test_zero_coefficients_give_uniform(self):
         spec = binary_spec()
@@ -301,3 +387,50 @@ class TestSerialization:
     def test_version_checked(self):
         with pytest.raises(ValueError, match="version"):
             model_from_dict({"version": 2})
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_saved_model_round_trips(self, data):
+        names = st.text(max_size=6)
+        layout = tuple(
+            (data.draw(names), tuple(data.draw(st.lists(names, min_size=2, max_size=5))))
+            for _ in range(data.draw(st.integers(1, 4)))
+        )
+        k = data.draw(st.integers(2, 6))
+        finite = st.floats(-1e6, 1e6, allow_nan=False)
+        size = (k - 1) * design_width(layout)
+        beta = np.reshape(
+            data.draw(st.lists(finite, min_size=size, max_size=size)), (k - 1, -1)
+        )
+        diagnostics = FitDiagnostics(
+            log_likelihood=data.draw(finite),
+            gradient_max=data.draw(st.floats(0.0, 1e6)),
+            iterations=data.draw(st.integers(0, 100)),
+            ridge=data.draw(st.floats(0.0, 1.0)),
+            converged=data.draw(st.booleans()),
+        )
+        model = LogitModel(
+            k=k, beta=beta, categorical_vars=layout, diagnostics=diagnostics
+        )
+        rows = np.column_stack(
+            [
+                data.draw(
+                    st.lists(
+                        st.integers(MISSING_CODE, len(mods) - 1), min_size=8, max_size=8
+                    )
+                )
+                for _, mods in layout
+            ]
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(model, path)
+            again = load_model(path)
+        assert again.k == k
+        assert again.categorical_vars == model.categorical_vars
+        assert again.diagnostics == model.diagnostics
+        assert again.beta.tobytes() == model.beta.tobytes()
+        assert (
+            predict_proba_rows(again, rows).tobytes()
+            == predict_proba_rows(model, rows).tobytes()
+        )
