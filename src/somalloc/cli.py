@@ -8,6 +8,7 @@ stage-tagged message and return a nonzero code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import sys
 from pathlib import Path
@@ -161,7 +162,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_run(args) -> int:
     cfg = PipelineConfig.load(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     report = run_pipeline(cfg)
     ev = report["evaluation"]
     print(
@@ -170,6 +171,19 @@ def _cmd_run(args) -> int:
         f"(report in {cfg.outdir})"
     )
     return 0
+
+
+def _seed(text: str) -> int:
+    """The type of every ``--seed`` option: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}"
+        )
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic survey-shaped dataset")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--n", type=int, default=8809)
     p.add_argument("--clusters", type=int, default=5)
     p.add_argument("--dependence", type=float, default=0.8)
@@ -207,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--macro-units", type=int, default=None,
                    help="reduce to this many macro clusters via a second map")
     p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -235,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--categorical", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--mode", choices=["argmax", "sample"], default="argmax")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_allocate)
 
@@ -249,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the full pipeline from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     p.set_defaults(func=_cmd_run)
 
     return parser

@@ -64,8 +64,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.method not in ("c1", "c2"):
             raise ValueError(f"method must be 'c1' or 'c2', got {self.method!r}")
-        if self.seed is None:
-            raise ValueError("seed is mandatory")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)

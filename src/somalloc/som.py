@@ -146,6 +146,12 @@ def train_som(
     matching unit under the masked distance (ties to the lowest index) and
     pull every unit within the current integer radius toward the row, on
     the observed components only.  Deterministic given the config seed.
+
+    A fully observed row runs every step into buffers allocated once per
+    call and updates the codebook in place; a row with blanks works on the
+    columns it observes, listed once before the first epoch.  Each step
+    does the same floating-point operations in the same order as the
+    per-step formula, so the codebook is bit-identical to it.
     """
     values = data.values
     observed = data.observed
@@ -162,7 +168,11 @@ def train_som(
     code = np.where(observed[pick], values[pick], col_means[None, :])
     code = np.ascontiguousarray(code, dtype=np.float64)
 
-    full_rows = observed.all(axis=1).tolist()
+    # observed columns of the rows with blanks; fully observed rows are absent
+    partial = np.flatnonzero(~observed.all(axis=1)).tolist()
+    cols_of = {i: np.flatnonzero(observed[i]) for i in partial}
+    diff = np.empty((k, p))  # squared differences, then the update step
+    dist = np.empty(k)
     total = cfg.epochs * n
     denom = max(total - 1, 1)
     lr_span = cfg.lr_end - cfg.lr_start
@@ -174,12 +184,27 @@ def train_som(
         radii = (cfg.radius_start + radius_span * frac + 0.5).astype(np.int64).tolist()
         for i, lr, radius in zip(rng.permutation(n).tolist(), lrs, radii):
             x = values[i]
-            obs = slice(None) if full_rows[i] else observed[i]
-            diff = code[:, obs] - x[obs]
-            dist = (diff * diff).mean(axis=1)
-            best = int(np.argmin(dist))
+            cols = cols_of.get(i)
+            if cols is None:
+                sq = np.subtract(code, x, out=diff)
+            else:
+                x = x.take(cols)
+                sc = code.take(cols, axis=1)
+                sq = sc - x
+            # the mean of squares as mean() computes it: reduce, then divide
+            np.multiply(sq, sq, out=sq)
+            np.add.reduce(sq, axis=1, out=dist)
+            np.true_divide(dist, sq.shape[1], out=dist)
+            best = int(dist.argmin())
             lo, hi = max(0, best - radius), min(k, best + radius + 1)
-            code[lo:hi, obs] += lr * (x[obs] - code[lo:hi, obs])
+            if cols is None:
+                seg = code[lo:hi]
+                step = np.subtract(x, seg, out=diff[: hi - lo])
+                step *= lr
+                seg += step
+            else:
+                s = sc[lo:hi]
+                code[lo:hi, cols] = s + lr * (x - s)
     if dimensions is None:
         dimensions = tuple(f"dim{j}" for j in range(p))
     return Codebook(code, dimensions)

@@ -482,6 +482,47 @@ class TestRunCommand:
             PipelineConfig.from_dict(cfg)
 
 
+class TestSeedValidation:
+    """Every seed is a non-negative integer, and a bad one is named as the
+    seed before any stage runs."""
+
+    @pytest.mark.parametrize("command", ["synth", "train", "allocate", "run"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_seed_option_refuses_negative_and_non_integer(
+        self, data_dir, artifacts, tmp_path, capsys, command, seed
+    ):
+        schema = ["--schema", str(data_dir / "schema.json")]
+        args = {
+            "synth": ["--outdir", str(tmp_path / "synth")],
+            "train": ["--continuous", str(data_dir / "continuous.csv"), *schema,
+                      "--units", "3", "--out", str(tmp_path / "clustering.json")],
+            "allocate": ["--model", str(artifacts / "model.json"),
+                         "--categorical", str(data_dir / "categorical.csv"), *schema,
+                         "--mode", "sample", "--out", str(tmp_path / "alloc.csv")],
+            "run": ["--config", str(artifacts / "config.json")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: seed must be a non-negative integer, got {seed!r}" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+    def test_config_seed_refuses_negative_and_non_integer(
+        self, data_dir, tmp_path, capsys, seed
+    ):
+        cfg_path = tmp_path / "config.json"
+        outdir = tmp_path / "run"
+        cfg_path.write_text(json.dumps(pipeline_config(data_dir, outdir, seed=seed)))
+        rc = main(["run", "--config", str(cfg_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error [run] {cfg_path}: seed must be a non-negative integer, got {seed!r}\n"
+        )
+        assert not outdir.exists()
+
+
 class TestPipelineDeterminism:
     def test_reports_byte_identical(self, data_dir, tmp_path):
         outs = []

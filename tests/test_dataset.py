@@ -14,9 +14,12 @@ from somalloc.dataset import (
     Dataset,
     Schema,
     load_categorical,
+    load_continuous,
     load_dataset,
     load_labels,
     renormalize_composition,
+    save_categorical,
+    save_continuous,
     save_dataset,
     split_dataset,
     subset_continuous,
@@ -143,6 +146,71 @@ class TestLoading:
         labels = write(tmp_path / "labels.csv", "cluster\n1,5\n2\n")
         with pytest.raises(DataError, match="row 1: expected 1 fields, got 2"):
             load_labels(labels)
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e300, -123456789.125,
+]
+
+
+@st.composite
+def continuous_tables(draw):
+    """Tables of any finite doubles (subnormals, huge magnitudes, -0.0
+    included) with blank cells; every row keeps one observed cell."""
+    n = draw(st.integers(0, 8))
+    p = draw(st.integers(1, 5))
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(SPECIAL_FLOATS))
+    values = np.array(draw(st.lists(number, min_size=n * p, max_size=n * p)),
+                      dtype=float).reshape(n, p)
+    observed = np.array(draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p)),
+                        dtype=bool).reshape(n, p)
+    observed[~observed.any(axis=1), draw(st.integers(0, p - 1))] = True
+    return ContinuousTable(values, observed)
+
+
+@st.composite
+def categorical_tables(draw):
+    """A schema of 1-4 variables with 2-5 labels each and codes that include
+    blank (missing) cells; labels need quoting in CSV but carry no outer
+    whitespace, which the loader strips."""
+    label = st.text(min_size=1, max_size=6).filter(lambda s: s == s.strip())
+    variables = draw(st.lists(
+        st.lists(label, min_size=2, max_size=5, unique=True), min_size=1, max_size=4
+    ))
+    n = draw(st.integers(0, 8))
+    columns = [
+        draw(st.lists(st.integers(-1, len(mods) - 1), min_size=n, max_size=n))
+        for mods in variables
+    ]
+    schema = Schema(
+        ("x",), tuple((f"v{j}", tuple(mods)) for j, mods in enumerate(variables))
+    )
+    return schema, CategoricalTable(np.array(columns, dtype=np.int64).reshape(len(variables), n).T)
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(continuous_tables())
+    def test_continuous_values_come_back_bit_identical(self, tmp_path_factory, table):
+        schema = Schema(tuple(f"c{j}" for j in range(table.n_cols)), (("g", ("a", "b")),))
+        path = tmp_path_factory.mktemp("csv") / "c.csv"
+        save_continuous(table, schema, path)
+        again = load_continuous(path, schema)
+        assert_array_equal(again.observed, table.observed)
+        assert_array_equal(again.values.view(np.int64), table.values.view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(categorical_tables())
+    def test_categorical_codes_come_back_with_missing_cells(
+        self, tmp_path_factory, schema_and_table
+    ):
+        schema, table = schema_and_table
+        path = tmp_path_factory.mktemp("csv") / "k.csv"
+        save_categorical(table, schema, path)
+        again = load_categorical(path, schema, allow_missing=True)
+        assert_array_equal(again.codes, table.codes)
 
 
 class TestSurveyShape:

@@ -176,6 +176,32 @@ class TestTraining:
         oracle_code, _ = replay_train(data.values, data.observed, cfg)
         assert_allclose(cb.code_vectors, oracle_code, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, p, units, radius_end",
+        [
+            (120, 14, 1, 0),
+            (120, 14, 5, 0),
+            (120, 14, 20, 0),
+            (40, 14, 60, 0),  # more units than rows: the initial draw repeats rows
+            (120, 14, 20, 1),
+            (120, 3, 5, 0),
+        ],
+        ids=["14col-k1", "14col-k5", "14col-k20", "k-above-n", "radius-end-1", "3col-k5"],
+    )
+    def test_bit_identical_to_replay_oracle(self, n, p, units, radius_end):
+        # 14 columns (at least 8) puts numpy's pairwise summation in the
+        # distance; ~5% blank cells mix fully observed and partial rows
+        rng = np.random.default_rng(units * 100 + p)
+        values = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+        observed = rng.random((n, p)) > 0.05
+        observed[~observed.any(axis=1), 0] = True
+        assert 0 < observed.all(axis=1).sum() < n
+        data = ContinuousTable(np.where(observed, values, 0.0), observed)
+        cfg = SomConfig(units=units, epochs=3, radius_end=radius_end, seed=units + p)
+        cb = train_som(data, cfg)
+        oracle_code, _ = replay_train(data.values, data.observed, cfg)
+        assert_array_equal(cb.code_vectors, oracle_code)
+
     def test_final_epoch_bmu_map_matches_assignments(self):
         # with well-separated clusters and a decayed learning rate the
         # codebook motion during the last epoch never crosses a Voronoi
