@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import MISSING_CODE, CategoricalTable, ContinuousTable, write_csv
+from .dataset import checked_labels, read_only
 from .logit import LogitModel, predict_proba_rows
 from .som import Codebook, TwoLevelClustering, cluster_labels
 
@@ -29,18 +30,13 @@ class AllocationResult:
     missing_counts: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=np.float64)
-        assigned = np.asarray(self.assigned, dtype=np.int64)
-        missing = np.asarray(self.missing_counts, dtype=np.int64)
-        if probs.ndim != 2 or assigned.shape != (probs.shape[0],):
-            raise ValueError("one probability vector and assignment per row required")
-        if assigned.size and (assigned.min() < 0 or assigned.max() >= probs.shape[1]):
-            raise ValueError("assigned cluster out of range")
-        for name, arr in (("probabilities", probs), ("assigned", assigned),
-                          ("missing_counts", missing)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        probs = read_only(self.probabilities, np.float64)
+        if probs.ndim != 2:
+            raise ValueError("one probability vector per row required")
+        assigned = checked_labels(self.assigned, probs.shape[0], probs.shape[1])
+        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "assigned", read_only(assigned))
+        object.__setattr__(self, "missing_counts", read_only(self.missing_counts, np.int64))
 
     @property
     def n_rows(self) -> int:
@@ -94,13 +90,11 @@ class ContingencyTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = read_only(self.counts, np.int64)
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError("counts must be a square matrix")
         if counts.size and counts.min() < 0:
             raise ValueError("counts must be nonnegative")
-        counts = counts.copy()
-        counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -120,15 +114,9 @@ class ContingencyTable:
 def build_contingency(
     allocated: np.ndarray, truth: np.ndarray, k: int
 ) -> ContingencyTable:
-    allocated = np.asarray(allocated, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if allocated.shape != truth.shape:
-        raise ValueError(
-            f"length mismatch: {allocated.shape[0]} allocated vs {truth.shape[0]} true"
-        )
-    for name, arr in (("allocated", allocated), ("truth", truth)):
-        if arr.size and (arr.min() < 0 or arr.max() >= k):
-            raise ValueError(f"{name} labels must lie in [0, {k})")
+    """Counts of (allocated, reference) pairs: one of each per row, both in [0, k)."""
+    truth = checked_labels(truth, np.size(truth), k)
+    allocated = checked_labels(allocated, truth.size, k)
     counts = np.zeros((k, k), dtype=np.int64)
     np.add.at(counts, (allocated, truth), 1)
     return ContingencyTable(counts)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import sys
 from pathlib import Path
 
@@ -128,17 +127,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
-    schema = Schema.load(args.schema)
     model = logit.load_model(args.model)
-    for got, want in itertools.zip_longest(
-        schema.categorical_vars, model.categorical_vars
-    ):
-        if got != want:
-            raise DataError(
-                f"{args.schema}: categorical variable {(got or want)[0]!r} does "
-                "not match the model's encoding (names, order or modalities)"
-            )
-    table = load_categorical(args.categorical, schema, allow_missing=True)
+    table = load_categorical(args.categorical, model, allow_missing=True)
     result = allocation.allocate(model, table, mode=args.mode, seed=args.seed)
     _save_allocations(result, args.out)
     print(f"allocated {result.n_rows} individuals ({args.mode}) to {args.out}")
@@ -246,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("allocate", help="allocate new individuals (missing cells allowed)")
     p.add_argument("--model", required=True)
-    p.add_argument("--categorical", required=True)
-    p.add_argument("--schema", required=True)
+    p.add_argument("--categorical", required=True,
+                   help="new individuals, read against the model's variables and modalities")
     p.add_argument("--mode", choices=["argmax", "sample"], default="argmax")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)

@@ -27,10 +27,55 @@ class DataError(ValueError):
     """Raised on malformed input files or schema violations."""
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
+def read_only(arr, dtype=None) -> np.ndarray:
+    """A read-only copy of ``arr``, so a stored array neither changes nor
+    shares memory with the caller's."""
+    out = np.array(arr, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
+
+
+def checked_labels(labels, n_rows: int, k: int) -> np.ndarray:
+    """``labels`` as int64, after checking one label per row, each in [0, k)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (n_rows,):
+        raise DataError(
+            f"{labels.size} labels for {n_rows} rows: need exactly one label per row"
+        )
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise DataError(f"labels must lie in [0, {k})")
+    return labels
+
+
+def checked_layout(categorical_vars) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The ``(name, modalities)`` layout as tuples, after checking that every
+    variable has at least two distinct labels that read back from a CSV
+    cell as written: non-empty, without leading or trailing whitespace."""
+    layout = tuple((name, tuple(mods)) for name, mods in categorical_vars)
+    for name, mods in layout:
+        if len(mods) < 2:
+            raise DataError(f"categorical variable {name!r} needs >= 2 modalities")
+        if len(set(mods)) != len(mods):
+            raise DataError(f"categorical variable {name!r} has duplicate modalities")
+        for label in mods:
+            if not isinstance(label, str) or not label or label != label.strip():
+                raise DataError(
+                    f"categorical variable {name!r}: modality label {label!r} must be "
+                    "a non-empty string without leading or trailing whitespace"
+                )
+    return layout
+
+
+_JSON_TYPE_NAMES = {bool: "true or false", int: "an integer"}
+
+
+def json_field(d: dict, key: str, kind: type, default=None):
+    """``d[key]`` (or ``default`` when given and the key is absent), refused
+    unless it is exactly of type ``kind``: no truthiness or truncation."""
+    value = d[key] if default is None else d.get(key, default)
+    if type(value) is not kind:
+        raise DataError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -47,11 +92,7 @@ class Schema:
 
     def __post_init__(self):
         object.__setattr__(self, "continuous_names", tuple(self.continuous_names))
-        object.__setattr__(
-            self,
-            "categorical_vars",
-            tuple((name, tuple(mods)) for name, mods in self.categorical_vars),
-        )
+        object.__setattr__(self, "categorical_vars", checked_layout(self.categorical_vars))
         if len(self.continuous_names) < 1:
             raise DataError("schema needs at least one continuous variable")
         if len(self.categorical_vars) < 1:
@@ -59,11 +100,6 @@ class Schema:
         names = list(self.continuous_names) + [n for n, _ in self.categorical_vars]
         if len(set(names)) != len(names):
             raise DataError("variable names must be unique across both blocks")
-        for name, mods in self.categorical_vars:
-            if len(mods) < 2:
-                raise DataError(f"categorical variable {name!r} needs >= 2 modalities")
-            if len(set(mods)) != len(mods):
-                raise DataError(f"categorical variable {name!r} has duplicate modalities")
 
     @property
     def p(self) -> int:
@@ -93,15 +129,12 @@ class Schema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
-        compositional = d.get("compositional", False)
-        if not isinstance(compositional, bool):
-            raise DataError(f"compositional must be true or false, got {compositional!r}")
         return cls(
             continuous_names=tuple(d["continuous"]),
             categorical_vars=tuple(
                 (v["name"], tuple(v["modalities"])) for v in d["categorical"]
             ),
-            compositional=compositional,
+            compositional=json_field(d, "compositional", bool, default=False),
         )
 
     def save(self, path) -> None:
@@ -125,7 +158,7 @@ class ContinuousTable:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        observed = np.asarray(self.observed, dtype=bool)
+        observed = read_only(self.observed, bool)
         if values.ndim != 2 or values.shape != observed.shape:
             raise DataError("values and observed mask must be matching 2-d arrays")
         if values.shape[0] and not observed.any(axis=1).all():
@@ -133,9 +166,8 @@ class ContinuousTable:
             raise DataError(f"row {row + 1}: no observed continuous entries")
         if not np.isfinite(values[observed]).all():
             raise DataError("observed continuous values must be finite")
-        values = np.where(observed, values, 0.0)
-        object.__setattr__(self, "values", _frozen(values))
-        object.__setattr__(self, "observed", _frozen(observed))
+        object.__setattr__(self, "values", read_only(np.where(observed, values, 0.0)))
+        object.__setattr__(self, "observed", observed)
 
     @property
     def n_rows(self) -> int:
@@ -153,12 +185,12 @@ class CategoricalTable:
     codes: np.ndarray
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
+        codes = read_only(self.codes, np.int64)
         if codes.ndim != 2:
             raise DataError("codes must be a 2-d array")
         if codes.size and codes.min() < MISSING_CODE:
             raise DataError("codes must be modality indices or the missing sentinel")
-        object.__setattr__(self, "codes", _frozen(codes))
+        object.__setattr__(self, "codes", codes)
 
     @property
     def n_rows(self) -> int:
@@ -250,31 +282,34 @@ def read_json(path, from_dict):
         raise DataError(f"{path}: {exc}") from None
 
 
-def _read_csv(path) -> tuple[list[str], list[list[str]]]:
+def _read_csv(path, expected_header=None) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a CSV file, after checking the header against
+    ``expected_header`` when given and that every row has one field per
+    header column."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise DataError(f"{path}: empty file")
-    return rows[0], rows[1:]
-
-
-def _check_header(path, header: list[str], expected: tuple[str, ...]) -> None:
-    if list(header) != list(expected):
+    header, rows = rows[0], rows[1:]
+    if expected_header is not None and header != list(expected_header):
         raise DataError(
-            f"{path}: header mismatch: expected {list(expected)}, got {list(header)}"
+            f"{path}: header mismatch: expected {list(expected_header)}, got {header}"
         )
+    width = len(header)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DataError(f"{path}: row {i + 1}: expected {width} fields, got {len(row)}")
+    return header, rows
 
 
 def load_continuous(path, schema: Schema) -> ContinuousTable:
     """Read the continuous CSV; empty fields become unobserved cells."""
-    header, rows = _read_csv(path)
-    _check_header(path, header, schema.continuous_names)
+    names = schema.continuous_names
+    _, rows = _read_csv(path, names)
     n, p = len(rows), schema.p
     values = np.zeros((n, p))
     observed = np.zeros((n, p), dtype=bool)
     for i, row in enumerate(rows):
-        if len(row) != p:
-            raise DataError(f"{path}: row {i + 1}: expected {p} fields, got {len(row)}")
         for j, cell in enumerate(row):
             cell = cell.strip()
             if not cell:
@@ -283,41 +318,39 @@ def load_continuous(path, schema: Schema) -> ContinuousTable:
                 values[i, j] = float(cell)
             except ValueError:
                 raise DataError(
-                    f"{path}: row {i + 1}, column {schema.continuous_names[j]!r}: "
+                    f"{path}: row {i + 1}, column {names[j]!r}: "
                     f"malformed number {cell!r}"
                 ) from None
             observed[i, j] = True
     return ContinuousTable(values, observed)
 
 
-def load_categorical(path, schema: Schema, allow_missing: bool = False) -> CategoricalTable:
-    """Read the categorical CSV; cells must match declared modality labels.
+def load_categorical(path, layout, allow_missing: bool = False) -> CategoricalTable:
+    """Read the categorical CSV against ``layout.categorical_vars``, the
+    ``(name, modalities)`` layout of a Schema or a fitted LogitModel; cells
+    must match its modality labels.
 
     Empty cells are accepted only with allow_missing (new-individual files).
     """
-    header, rows = _read_csv(path)
-    _check_header(path, header, schema.categorical_names)
+    names = [name for name, _ in layout.categorical_vars]
+    _, rows = _read_csv(path, names)
     lookup = [
         {label: idx for idx, label in enumerate(mods)}
-        for _, mods in schema.categorical_vars
+        for _, mods in layout.categorical_vars
     ]
-    n, l = len(rows), schema.l
-    codes = np.full((n, l), MISSING_CODE, dtype=np.int64)
+    codes = np.full((len(rows), len(names)), MISSING_CODE, dtype=np.int64)
     for i, row in enumerate(rows):
-        if len(row) != l:
-            raise DataError(f"{path}: row {i + 1}: expected {l} fields, got {len(row)}")
         for j, cell in enumerate(row):
             cell = cell.strip()
-            name = schema.categorical_names[j]
             if not cell:
                 if allow_missing:
                     continue
-                raise DataError(f"{path}: row {i + 1}, column {name!r}: missing value")
+                raise DataError(f"{path}: row {i + 1}, column {names[j]!r}: missing value")
             try:
                 codes[i, j] = lookup[j][cell]
             except KeyError:
                 raise DataError(
-                    f"{path}: row {i + 1}, column {name!r}: unknown modality {cell!r}"
+                    f"{path}: row {i + 1}, column {names[j]!r}: unknown modality {cell!r}"
                 ) from None
     return CategoricalTable(codes)
 
@@ -360,11 +393,6 @@ def load_labels(path) -> np.ndarray:
         col = header.index("assigned")
     else:
         raise DataError(f"{path}: expected a label column or an allocations file")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {i + 1}: expected {len(header)} fields, got {len(row)}"
-            )
     try:
         return np.array([int(r[col]) for r in rows], dtype=np.int64)
     except ValueError:
@@ -399,17 +427,23 @@ def split_dataset(d: Dataset, test_count: int, seed: int) -> tuple[Dataset, Data
     return _take(d, train_idx), _take(d, test_idx)
 
 
+def _kept_columns(keep, p: int) -> np.ndarray:
+    """The kept column indices, sorted and unique, each in [0, p)."""
+    keep = np.asarray(sorted(set(int(k) for k in keep)), dtype=np.int64)
+    if keep.size == 0:
+        raise DataError("keep set must be nonempty")
+    if keep.min() < 0 or keep.max() >= p:
+        raise DataError("keep indices out of range")
+    return keep
+
+
 def renormalize_composition(table: ContinuousTable, keep) -> ContinuousTable:
     """Restrict to the kept columns and rescale each row's observed entries
     to sum to 100.
 
     The caller is responsible for only applying this to compositional data.
     """
-    keep = np.asarray(sorted(set(int(k) for k in keep)), dtype=np.int64)
-    if keep.size == 0:
-        raise DataError("keep set must be nonempty")
-    if keep.min() < 0 or keep.max() >= table.n_cols:
-        raise DataError("keep indices out of range")
+    keep = _kept_columns(keep, table.n_cols)
     values = table.values[:, keep]
     observed = table.observed[:, keep]
     if table.n_rows and not observed.any(axis=1).all():
@@ -428,18 +462,11 @@ def renormalize_composition(table: ContinuousTable, keep) -> ContinuousTable:
 
 def subset_continuous(d: Dataset, keep) -> Dataset:
     """Drop continuous columns; renormalizes shares only for compositional data."""
-    keep = sorted(set(int(k) for k in keep))
+    keep = _kept_columns(keep, d.schema.p)
     if d.schema.compositional:
         table = renormalize_composition(d.continuous, keep)
     else:
-        keep_arr = np.asarray(keep, dtype=np.int64)
-        if not keep:
-            raise DataError("keep set must be nonempty")
-        if keep_arr.min() < 0 or keep_arr.max() >= d.schema.p:
-            raise DataError("keep indices out of range")
-        table = ContinuousTable(
-            d.continuous.values[:, keep_arr], d.continuous.observed[:, keep_arr]
-        )
+        table = ContinuousTable(d.continuous.values[:, keep], d.continuous.observed[:, keep])
     schema = Schema(
         continuous_names=tuple(d.schema.continuous_names[k] for k in keep),
         categorical_vars=d.schema.categorical_vars,

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import MISSING_CODE, CategoricalTable, read_json, write_json
+from .dataset import checked_labels, checked_layout, json_field, read_only
 
 SEPARATION_COEF_LIMIT = 30.0
 _BLOCK_ROWS = 256  # rows per block of the Hessian accumulation
@@ -83,12 +84,9 @@ class LogitModel:
     diagnostics: FitDiagnostics
 
     def __post_init__(self):
-        layout = tuple((name, tuple(mods)) for name, mods in self.categorical_vars)
+        layout = checked_layout(self.categorical_vars)
         object.__setattr__(self, "categorical_vars", layout)
-        for name, mods in layout:
-            if len(mods) < 2:
-                raise ValueError(f"variable {name!r} needs >= 2 modalities")
-        beta = np.asarray(self.beta, dtype=np.float64)
+        beta = read_only(self.beta, np.float64)
         if self.k < 2:
             raise ValueError("need at least two classes")
         width = design_width(layout)
@@ -96,8 +94,6 @@ class LogitModel:
             raise ValueError(f"beta must be ({self.k - 1}, {width}), got {beta.shape}")
         if not np.isfinite(beta).all():
             raise ValueError("coefficients must be finite")
-        beta = beta.copy()
-        beta.flags.writeable = False
         object.__setattr__(self, "beta", beta)
 
     @property
@@ -218,18 +214,6 @@ def _newton(
     return beta, diag
 
 
-def _checked_labels(labels, n_rows: int, k: int) -> np.ndarray:
-    """``labels`` as int64, after checking one label per row, each in [0, k)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (n_rows,):
-        raise ValueError(
-            f"{labels.size} labels for {n_rows} rows: need exactly one label per row"
-        )
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"labels must lie in [0, {k})")
-    return labels
-
-
 def fit_logit(
     rows: CategoricalTable | np.ndarray,
     labels: np.ndarray,
@@ -248,7 +232,7 @@ def fit_logit(
     still returned with its diagnostics.
     """
     design = encode_rows(rows, categorical_vars)
-    labels = _checked_labels(labels, design.shape[0], k)
+    labels = checked_labels(labels, design.shape[0], k)
     if labels.size == 0:
         raise ValueError("no rows to fit")
     present = np.bincount(labels, minlength=k) > 0
@@ -284,7 +268,7 @@ def log_likelihood(
     m: LogitModel, rows: CategoricalTable | np.ndarray, labels: np.ndarray
 ) -> float:
     design = encode_rows(rows, m.categorical_vars)
-    labels = _checked_labels(labels, design.shape[0], m.k)
+    labels = checked_labels(labels, design.shape[0], m.k)
     ll, _, _ = _loglik_grad(m.beta, design, labels, m.k, 0.0)
     return ll
 
@@ -319,7 +303,7 @@ def model_from_dict(d: dict) -> LogitModel:
         raise ValueError("encoding needs one modality list per variable")
     diag = d["diagnostics"]
     return LogitModel(
-        k=int(d["classes"]),
+        k=json_field(d, "classes", int),
         beta=np.asarray(d["beta"], dtype=np.float64),
         categorical_vars=tuple(zip(enc["variables"], enc["modalities"])),
         diagnostics=FitDiagnostics(
@@ -327,7 +311,7 @@ def model_from_dict(d: dict) -> LogitModel:
             gradient_max=float(diag["gradient_max"]),
             iterations=int(diag["iterations"]),
             ridge=float(diag["ridge"]),
-            converged=bool(diag["converged"]),
+            converged=json_field(diag, "converged", bool),
         ),
     )
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CategoricalTable, Dataset, Schema, format_float, write_csv
+from .dataset import checked_labels
 
 
 @dataclass(frozen=True)
@@ -58,37 +59,21 @@ def _test_value(within: np.ndarray, glob: np.ndarray) -> np.ndarray:
     return ratio
 
 
-def _check_labels(labels, n_rows: int, k: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != n_rows:
-        raise ValueError("labels length must match table rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"labels must lie in [0, {k})")
-    return labels
-
-
 def test_values(
     categorical: CategoricalTable,
     labels: np.ndarray,
     k: int,
-    modality_counts: tuple[int, ...] | None = None,
+    modality_counts: tuple[int, ...],
 ) -> list[np.ndarray]:
-    """Per variable, a (k, m_j) table of within-share / global-share ratios.
+    """Per variable, a (k, m_j) table of within-share / global-share ratios
+    over the declared ``modality_counts``.
 
     Undefined entries (empty cluster, or modality absent globally) are NaN
-    rather than 0/0.  Without explicit modality_counts the modality range is
-    inferred from the data.
+    rather than 0/0.
     """
     codes = categorical.codes
-    labels = _check_labels(labels, codes.shape[0], k)
-    if modality_counts is None:
-        counts = tuple(
-            int(codes[:, j].max()) + 1 if codes.shape[0] else 1
-            for j in range(codes.shape[1])
-        )
-    else:
-        counts = tuple(modality_counts)
-    within, glob = _modality_pcts(codes, labels, k, counts)
+    labels = checked_labels(labels, codes.shape[0], k)
+    within, glob = _modality_pcts(codes, labels, k, tuple(modality_counts))
     return [_test_value(w, g) for w, g in zip(within, glob)]
 
 
@@ -99,7 +84,7 @@ def describe_clusters(d: Dataset, labels: np.ndarray, k: int) -> tuple[ClusterPr
     uses the n-1 denominator.  Missing continuous entries are excluded per
     statistic, not per row.
     """
-    labels = _check_labels(labels, d.n_rows, k)
+    labels = checked_labels(labels, d.n_rows, k)
     p = d.schema.p
     within, glob = _modality_pcts(d.categorical.codes, labels, k, d.schema.modality_counts)
     tv_tables = [_test_value(w, g) for w, g in zip(within, glob)]

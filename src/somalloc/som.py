@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ContinuousTable, read_json, write_json
+from .dataset import checked_labels, json_field, read_only
 
 # rows per block of the masked-distance kernel, whose temporaries are
 # _BLOCK_ROWS x K x p doubles; 512 was the fastest of 128-8192 rows on
@@ -63,15 +64,13 @@ class Codebook:
     dimensions: tuple[str, ...]
 
     def __post_init__(self):
-        vectors = np.asarray(self.code_vectors, dtype=np.float64)
+        vectors = read_only(self.code_vectors, np.float64)
         if vectors.ndim != 2:
             raise ValueError("code_vectors must be a 2-d array")
         if not np.isfinite(vectors).all():
             raise ValueError("code_vectors must be finite")
         if len(self.dimensions) != vectors.shape[1]:
             raise ValueError("dimension labels must match code-vector width")
-        vectors = vectors.copy()
-        vectors.flags.writeable = False
         object.__setattr__(self, "code_vectors", vectors)
         object.__setattr__(self, "dimensions", tuple(self.dimensions))
 
@@ -88,29 +87,26 @@ class Codebook:
 class TwoLevelClustering:
     """A large map plus a smaller map trained over its code-vectors.
 
-    macro_of_unit maps every level-1 unit to its macro cluster;
-    ``contiguous`` records whether the macro clusters form unbroken runs
-    along the level-1 string (a diagnostic, not a guarantee).
+    macro_of_unit maps every level-1 unit to its macro cluster.
     """
 
     level1: Codebook
     level2: Codebook
     macro_of_unit: np.ndarray
-    contiguous: bool
 
     def __post_init__(self):
-        macro = np.asarray(self.macro_of_unit, dtype=np.int64)
-        if macro.shape != (self.level1.units,):
-            raise ValueError("macro_of_unit must map every level-1 unit")
-        if macro.size and (macro.min() < 0 or macro.max() >= self.level2.units):
-            raise ValueError("macro_of_unit values out of range")
-        macro = macro.copy()
-        macro.flags.writeable = False
-        object.__setattr__(self, "macro_of_unit", macro)
+        macro = checked_labels(self.macro_of_unit, self.level1.units, self.level2.units)
+        object.__setattr__(self, "macro_of_unit", read_only(macro))
 
     @property
     def n_clusters(self) -> int:
         return self.level2.units
+
+    @property
+    def contiguous(self) -> bool:
+        """Whether every macro cluster is an unbroken run along the level-1
+        string (a diagnostic, not a guarantee)."""
+        return _contiguous_runs(self.macro_of_unit)
 
 
 def _masked_distances(
@@ -244,13 +240,7 @@ def reduce_codebook(level1: Codebook, k2: int, cfg: SomConfig) -> TwoLevelCluste
     cfg2 = dataclasses.replace(cfg, units=k2, radius_start=None)
     table = ContinuousTable(level1.code_vectors, np.ones_like(level1.code_vectors, dtype=bool))
     level2 = train_som(table, cfg2, dimensions=level1.dimensions)
-    macro = assign_all(level2, table)
-    return TwoLevelClustering(
-        level1=level1,
-        level2=level2,
-        macro_of_unit=macro,
-        contiguous=_contiguous_runs(macro),
-    )
+    return TwoLevelClustering(level1, level2, assign_all(level2, table))
 
 
 def cluster_labels(
@@ -288,12 +278,18 @@ def clustering_from_dict(d: dict) -> Codebook | TwoLevelClustering:
     if d["kind"] == "codebook":
         return Codebook(np.asarray(d["code_vectors"]), dims)
     if d["kind"] == "two_level":
-        return TwoLevelClustering(
+        clustering = TwoLevelClustering(
             level1=Codebook(np.asarray(d["level1_code_vectors"]), dims),
             level2=Codebook(np.asarray(d["level2_code_vectors"]), dims),
             macro_of_unit=np.asarray(d["macro_of_unit"], dtype=np.int64),
-            contiguous=bool(d["contiguous"]),
         )
+        stored = json_field(d, "contiguous", bool)
+        if stored != clustering.contiguous:
+            raise ValueError(
+                f"contiguous is {str(stored).lower()}, but macro_of_unit gives "
+                f"{str(clustering.contiguous).lower()}"
+            )
+        return clustering
     raise ValueError(f"unknown clustering kind {d['kind']!r}")
 
 

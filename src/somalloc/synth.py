@@ -21,6 +21,7 @@ from .dataset import (
     ContinuousTable,
     Dataset,
     Schema,
+    read_only,
 )
 
 # survey-like shape: 19 expenditure shares, 10 traits with these modality counts
@@ -45,25 +46,21 @@ class GeneratorSpec:
     categorical_vars: tuple[tuple[str, tuple[str, ...]], ...] = field(default=())
 
     def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=np.float64)
+        centers = read_only(self.centers, np.float64)
         if centers.ndim != 2:
             raise ValueError("centers must be K x p")
         if not np.allclose(centers.sum(axis=1), COMPOSITION_TOTAL, atol=1e-9):
             raise ValueError("every center must sum to 100")
         if (centers < 0).any():
             raise ValueError("centers must be nonnegative")
-        centers = centers.copy()
-        centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
         dists = []
         for j, d in enumerate(self.modality_dists):
-            d = np.asarray(d, dtype=np.float64)
+            d = read_only(d, np.float64)
             if d.ndim != 2 or d.shape[0] != centers.shape[0]:
                 raise ValueError(f"modality_dists[{j}] must be K x m_j")
             if not np.allclose(d.sum(axis=1), 1.0, atol=1e-9) or (d < 0).any():
                 raise ValueError(f"modality_dists[{j}] rows must be distributions")
-            d = d.copy()
-            d.flags.writeable = False
             dists.append(d)
         object.__setattr__(self, "modality_dists", tuple(dists))
         if self.n < 1:

@@ -178,7 +178,7 @@ class TestContingency:
         assert t.counts.sum() == 0
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match="1 labels for 2 rows"):
             build_contingency(np.array([0]), np.array([0, 1]), 2)
 
     def test_out_of_range_rejected(self):

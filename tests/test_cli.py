@@ -34,13 +34,20 @@ def data_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def artifacts(data_dir, tmp_path_factory):
-    """A valid schema, clustering, model and run config in one directory."""
+    """A valid schema, clustering (plain and two-level), model and run
+    config in one directory."""
     out = tmp_path_factory.mktemp("artifacts")
     shutil.copy(data_dir / "schema.json", out / "schema.json")
     schema = ["--schema", str(out / "schema.json")]
     rc = main(
         ["train", "--continuous", str(data_dir / "continuous.csv"), *schema,
          "--units", "3", "--epochs", "1", "--out", str(out / "clustering.json")]
+    )
+    assert rc == 0
+    rc = main(
+        ["train", "--continuous", str(data_dir / "continuous.csv"), *schema,
+         "--units", "6", "--macro-units", "2", "--epochs", "1",
+         "--out", str(out / "two_level.json")]
     )
     assert rc == 0
     rc = main(
@@ -179,7 +186,6 @@ class TestSubcommands:
                 "allocate",
                 "--model", str(model_path),
                 "--categorical", str(data_dir / "categorical.csv"),
-                "--schema", str(data_dir / "schema.json"),
                 "--out", str(alloc_path),
             ]
         )
@@ -234,7 +240,6 @@ class TestSubcommands:
                 "allocate",
                 "--model", str(model_path),
                 "--categorical", str(newfile),
-                "--schema", str(data_dir / "schema.json"),
                 "--out", str(out),
             ]
         )
@@ -260,40 +265,34 @@ class TestArtifactChecks:
     """Saved artifacts are refused when the files they are applied to have
     a different layout."""
 
-    def test_allocate_refuses_schema_that_differs_from_model(
-        self, data_dir, tmp_path, capsys
+    @pytest.mark.parametrize("defect", ["header", "modality"])
+    def test_allocate_refuses_file_that_differs_from_model(
+        self, data_dir, artifacts, tmp_path, capsys, defect
     ):
-        model_path = tmp_path / "model.json"
-        rc = main(
-            [
-                "fit",
-                "--categorical", str(data_dir / "categorical.csv"),
-                "--schema", str(data_dir / "schema.json"),
-                "--labels", str(data_dir / "true_labels.csv"),
-                "--classes", "5",
-                "--out", str(model_path),
-            ]
-        )
-        assert rc == 0
-        # same labels, reversed modality order: every file still parses
-        schema = json.loads((data_dir / "schema.json").read_text())
-        var = schema["categorical"][2]
-        var["modalities"].reverse()
-        schema_path = tmp_path / "schema.json"
-        schema_path.write_text(json.dumps(schema))
+        # new individuals are read against the model's own layout
+        lines = (data_dir / "categorical.csv").read_text().splitlines()
+        header, first = lines[0].split(","), lines[1].split(",")
+        if defect == "header":
+            header[0], header[1] = header[1], header[0]
+            expected = "header mismatch"
+        else:
+            first[2] = "level99"
+            expected = f"row 1, column {header[2]!r}: unknown modality 'level99'"
+        lines[0], lines[1] = ",".join(header), ",".join(first)
+        newfile = tmp_path / "new_individuals.csv"
+        newfile.write_text("\n".join(lines) + "\n")
         out = tmp_path / "alloc.csv"
         rc = main(
             [
                 "allocate",
-                "--model", str(model_path),
-                "--categorical", str(data_dir / "categorical.csv"),
-                "--schema", str(schema_path),
+                "--model", str(artifacts / "model.json"),
+                "--categorical", str(newfile),
                 "--out", str(out),
             ]
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"categorical variable {var['name']!r}" in err
+        assert err.startswith(f"error [allocate] {newfile}: {expected}")
         assert not out.exists()
 
     def test_describe_refuses_clustering_of_other_variables(
@@ -358,6 +357,10 @@ class TestArtifactChecks:
             ("model", "encoding", "allocate", "no-intercept"),
             ("model", "encoding", "allocate", "intercept-flag-false"),
             ("model", "encoding", "allocate", "modality-list-missing"),
+            ("two_level", "contiguous", "describe", "not-a-boolean"),
+            ("two_level", "contiguous", "describe", "flipped"),
+            ("model", "diagnostics", "allocate", "converged-not-a-boolean"),
+            ("model", "classes", "allocate", "not-an-integer"),
         ],
     )
     def test_malformed_artifact_is_reported_with_its_path(
@@ -375,6 +378,14 @@ class TestArtifactChecks:
                 del obj[key]
             elif damage == "not-a-boolean":
                 obj[key] = "no"
+            elif damage == "flipped":
+                # a well-formed flag that macro_of_unit contradicts
+                obj[key] = not obj[key]
+            elif damage == "converged-not-a-boolean":
+                obj[key]["converged"] = "false"
+            elif damage == "not-an-integer":
+                # truncates to the stored class count, which beta matches
+                obj[key] += 0.7
             elif damage == "no-intercept":
                 # a consistent model without the intercept column
                 obj[key]["intercept"] = False
@@ -390,16 +401,16 @@ class TestArtifactChecks:
             text = json.dumps(obj)
         path.write_text(text)
         categorical = ["--categorical", str(data_dir / "categorical.csv")]
-        schema = ["--schema", str(inputs / "schema.json")]
+        clustering = path if artifact == "two_level" else inputs / "clustering.json"
         argv = {
             "describe": [
                 "describe", "--continuous", str(data_dir / "continuous.csv"),
-                *categorical, *schema, "--clustering", str(inputs / "clustering.json"),
-                "--outdir", str(tmp_path / "desc"),
+                *categorical, "--schema", str(inputs / "schema.json"),
+                "--clustering", str(clustering), "--outdir", str(tmp_path / "desc"),
             ],
             "allocate": [
                 "allocate", "--model", str(inputs / "model.json"), *categorical,
-                *schema, "--out", str(tmp_path / "alloc.csv"),
+                "--out", str(tmp_path / "alloc.csv"),
             ],
             "run": ["run", "--config", str(inputs / "config.json")],
         }[command]
@@ -497,7 +508,7 @@ class TestSeedValidation:
             "train": ["--continuous", str(data_dir / "continuous.csv"), *schema,
                       "--units", "3", "--out", str(tmp_path / "clustering.json")],
             "allocate": ["--model", str(artifacts / "model.json"),
-                         "--categorical", str(data_dir / "categorical.csv"), *schema,
+                         "--categorical", str(data_dir / "categorical.csv"),
                          "--mode", "sample", "--out", str(tmp_path / "alloc.csv")],
             "run": ["--config", str(artifacts / "config.json")],
         }[command]

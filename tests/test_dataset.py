@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from somalloc.allocation import AllocationResult, ContingencyTable
 from somalloc.dataset import (
     CategoricalTable,
     ContinuousTable,
@@ -24,11 +25,24 @@ from somalloc.dataset import (
     split_dataset,
     subset_continuous,
 )
+from somalloc.logit import FitDiagnostics, LogitModel
+from somalloc.som import Codebook, TwoLevelClustering
+from somalloc.synth import GeneratorSpec
 
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+CLEAN_LABELS = st.text(min_size=1, max_size=6).filter(lambda s: s == s.strip())
+OUTER_SPACE = st.sampled_from([" ", "\t", "\n", "\u00a0", "\u3000"])
+# labels a CSV cell cannot carry as written, since the loader strips cells
+DIRTY_LABELS = st.one_of(
+    st.just(""),
+    st.tuples(OUTER_SPACE, st.text(max_size=4)).map("".join),
+    st.tuples(st.text(max_size=4), OUTER_SPACE).map("".join),
+)
 
 
 class TestSchema:
@@ -44,6 +58,22 @@ class TestSchema:
         path = tmp_path / "schema.json"
         housing_schema.save(path)
         assert Schema.load(path) == housing_schema
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_any_schema_saves_and_loads_equal(self, tmp_path_factory, data):
+        names = data.draw(st.lists(st.text(max_size=6), min_size=2, max_size=8, unique=True))
+        p = data.draw(st.integers(1, len(names) - 1))
+        layout = tuple(
+            (name, tuple(data.draw(
+                st.lists(CLEAN_LABELS, min_size=2, max_size=5, unique=True)
+            )))
+            for name in names[p:]
+        )
+        schema = Schema(tuple(names[:p]), layout, data.draw(st.booleans()))
+        path = tmp_path_factory.mktemp("schema") / "schema.json"
+        schema.save(path)
+        assert Schema.load(path) == schema
 
     def test_counts(self, housing_schema):
         assert housing_schema.p == 3
@@ -172,22 +202,24 @@ def continuous_tables(draw):
 
 @st.composite
 def categorical_tables(draw):
-    """A schema of 1-4 variables with 2-5 labels each and codes that include
-    blank (missing) cells; labels need quoting in CSV but carry no outer
-    whitespace, which the loader strips."""
-    label = st.text(min_size=1, max_size=6).filter(lambda s: s == s.strip())
+    """The layout of 1-4 variables with 2-5 labels each and codes that
+    include blank (missing) cells.  Labels may need quoting in CSV; in half
+    the layouts one label is empty or carries outer whitespace."""
     variables = draw(st.lists(
-        st.lists(label, min_size=2, max_size=5, unique=True), min_size=1, max_size=4
+        st.lists(CLEAN_LABELS, min_size=2, max_size=5, unique=True),
+        min_size=1, max_size=4,
     ))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(variables) - 1))
+        variables[j][draw(st.integers(0, len(variables[j]) - 1))] = draw(DIRTY_LABELS)
     n = draw(st.integers(0, 8))
     columns = [
         draw(st.lists(st.integers(-1, len(mods) - 1), min_size=n, max_size=n))
         for mods in variables
     ]
-    schema = Schema(
-        ("x",), tuple((f"v{j}", tuple(mods)) for j, mods in enumerate(variables))
-    )
-    return schema, CategoricalTable(np.array(columns, dtype=np.int64).reshape(len(variables), n).T)
+    layout = tuple((f"v{j}", tuple(mods)) for j, mods in enumerate(variables))
+    codes = np.array(columns, dtype=np.int64).reshape(len(variables), n).T
+    return layout, CategoricalTable(codes)
 
 
 class TestCsvRoundTrip:
@@ -204,9 +236,20 @@ class TestCsvRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(categorical_tables())
     def test_categorical_codes_come_back_with_missing_cells(
-        self, tmp_path_factory, schema_and_table
+        self, tmp_path_factory, layout_and_table
     ):
-        schema, table = schema_and_table
+        layout, table = layout_and_table
+        dirty = [
+            (name, label) for name, mods in layout for label in mods
+            if label != label.strip() or not label
+        ]
+        if dirty:
+            name, label = dirty[0]
+            with pytest.raises(DataError) as exc:
+                Schema(("x",), layout)
+            assert f"categorical variable {name!r}: modality label {label!r}" in str(exc.value)
+            return
+        schema = Schema(("x",), layout)
         path = tmp_path_factory.mktemp("csv") / "k.csv"
         save_categorical(table, schema, path)
         again = load_categorical(path, schema, allow_missing=True)
@@ -357,6 +400,53 @@ def test_tables_are_immutable(housing_schema):
         d.continuous.values[0, 0] = 1.0
     with pytest.raises(ValueError):
         d.categorical.codes[0, 0] = 1
+
+
+def _stored_and_given_arrays(cls):
+    """An instance of ``cls`` built from fresh arrays, as pairs of (stored
+    array, the caller's array it was built from)."""
+    vectors, macro = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 0])
+    if cls is ContinuousTable:
+        observed = np.array([[True, False]])
+        t = ContinuousTable(vectors[:1], observed)
+        return [(t.values, vectors), (t.observed, observed)]
+    if cls is CategoricalTable:
+        codes = np.array([[0, -1]])
+        return [(CategoricalTable(codes).codes, codes)]
+    if cls is Codebook:
+        return [(Codebook(vectors, ("a", "b")).code_vectors, vectors)]
+    if cls is TwoLevelClustering:
+        cb = Codebook(vectors, ("a", "b"))
+        return [(TwoLevelClustering(cb, cb, macro).macro_of_unit, macro)]
+    if cls is LogitModel:
+        beta = np.array([[0.5, -0.5]])
+        diag = FitDiagnostics(0.0, 0.0, 0, 0.0, True)
+        return [(LogitModel(2, beta, (("v", ("x", "y")),), diag).beta, beta)]
+    if cls is AllocationResult:
+        probs, assigned, missing = np.array([[0.25, 0.75]]), np.array([1]), np.array([0])
+        r = AllocationResult(probs, assigned, "argmax", missing)
+        return [(r.probabilities, probs), (r.assigned, assigned),
+                (r.missing_counts, missing)]
+    if cls is ContingencyTable:
+        counts = np.eye(2, dtype=np.int64)
+        return [(ContingencyTable(counts).counts, counts)]
+    centers, dist = np.array([[60.0, 40.0]]), np.array([[0.5, 0.5]])
+    spec = GeneratorSpec(1, centers, 1.0, (dist,), 0.5, 0.0, 0)
+    return [(spec.centers, centers), (spec.modality_dists[0], dist)]
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [ContinuousTable, CategoricalTable, Codebook, TwoLevelClustering, LogitModel,
+     AllocationResult, ContingencyTable, GeneratorSpec],
+    ids=lambda cls: cls.__name__,
+)
+def test_stored_arrays_are_read_only_copies(cls):
+    for stored, given in _stored_and_given_arrays(cls):
+        assert not np.shares_memory(stored, given)
+        first = (0,) * stored.ndim
+        with pytest.raises(ValueError, match="read-only"):
+            stored[first] = given[first]
 
 
 def test_only_dataset_imports_csv_or_json():

@@ -392,8 +392,13 @@ class TestSerialization:
     @given(st.data())
     def test_saved_model_round_trips(self, data):
         names = st.text(max_size=6)
+        # a layout must read back from CSV: distinct labels, no outer whitespace
+        labels = st.text(min_size=1, max_size=6).filter(lambda s: s == s.strip())
         layout = tuple(
-            (data.draw(names), tuple(data.draw(st.lists(names, min_size=2, max_size=5))))
+            (
+                data.draw(names),
+                tuple(data.draw(st.lists(labels, min_size=2, max_size=5, unique=True))),
+            )
             for _ in range(data.draw(st.integers(1, 4)))
         )
         k = data.draw(st.integers(2, 6))

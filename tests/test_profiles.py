@@ -34,7 +34,9 @@ class TestTestValues:
     def test_single_cluster_gives_all_ones(self):
         rng = np.random.default_rng(0)
         codes = rng.integers(3, size=(50, 1))
-        tables = modality_test_values(CategoricalTable(codes), np.zeros(50, dtype=int), 1)
+        tables = modality_test_values(
+            CategoricalTable(codes), np.zeros(50, dtype=int), 1, (3,)
+        )
         present = np.bincount(codes[:, 0], minlength=3) > 0
         assert_allclose(tables[0][0, present], 1.0)
 
@@ -45,29 +47,27 @@ class TestTestValues:
         labels = np.repeat([0, 1, 2, 3], 25)
         codes[50:57, 0] = 0  # 7 of the 25 rows in cluster 2
         codes[0:3, 0] = 0  # 3 more elsewhere, 10 in total
-        tables = modality_test_values(CategoricalTable(codes), labels, 4)
+        tables = modality_test_values(CategoricalTable(codes), labels, 4, (2,))
         assert tables[0][2, 0] == pytest.approx(2.8)
 
     def test_uniform_distribution_gives_ones(self):
         # every cluster sees each modality in identical proportion
         labels = np.repeat([0, 1, 2], 30)
         codes = np.tile(np.repeat([0, 1, 2], 10), 3)[:, None]
-        tables = modality_test_values(CategoricalTable(codes), labels, 3)
+        tables = modality_test_values(CategoricalTable(codes), labels, 3, (3,))
         assert_allclose(tables[0], 1.0)
 
     def test_absent_modality_is_nan_not_zero_division(self):
         codes = np.zeros((10, 1), dtype=np.int64)  # modality 1 never occurs
         labels = np.repeat([0, 1], 5)
-        tables = modality_test_values(
-            CategoricalTable(codes), labels, 2, modality_counts=(2,)
-        )
+        tables = modality_test_values(CategoricalTable(codes), labels, 2, (2,))
         assert np.isnan(tables[0][:, 1]).all()
         assert_allclose(tables[0][:, 0], 1.0)
 
     def test_empty_cluster_rows_are_nan(self):
         codes = np.zeros((6, 1), dtype=np.int64)
         labels = np.zeros(6, dtype=int)
-        tables = modality_test_values(CategoricalTable(codes), labels, 3)
+        tables = modality_test_values(CategoricalTable(codes), labels, 3, (2,))
         assert np.isnan(tables[0][1]).all()
         assert np.isnan(tables[0][2]).all()
 
@@ -79,7 +79,7 @@ class TestTestValues:
         k = int(rng.integers(1, 6))
         labels = rng.integers(k, size=n)
         codes = rng.integers(4, size=(n, 2))
-        tables = modality_test_values(CategoricalTable(codes), labels, k)
+        tables = modality_test_values(CategoricalTable(codes), labels, k, (4, 4))
         sizes = np.bincount(labels, minlength=k)
         weights = sizes / n
         for j in range(2):

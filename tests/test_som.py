@@ -404,3 +404,41 @@ class TestSerialization:
     def test_unknown_version_rejected(self):
         with pytest.raises(ValueError, match="version"):
             clustering_from_dict({"version": 99, "kind": "codebook"})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_saved_clustering_loads_bit_identical(self, tmp_path_factory, data):
+        """Both kinds come back from clustering.json with the same bits,
+        -0.0, subnormals and the largest doubles included."""
+        p = data.draw(st.integers(1, 4))
+        number = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([-0.0, 5e-324, -1.7976931348623157e308]),
+        )
+
+        def codebook(units):
+            values = data.draw(st.lists(number, min_size=units * p, max_size=units * p))
+            return Codebook(np.reshape(values, (units, p)), dims)
+
+        dims = tuple(data.draw(st.lists(st.text(max_size=4), min_size=p, max_size=p)))
+        level1 = codebook(data.draw(st.integers(1, 6)))
+        clustering = level1
+        if data.draw(st.booleans()):
+            level2 = codebook(data.draw(st.integers(1, level1.units)))
+            macro = data.draw(st.lists(
+                st.integers(0, level2.units - 1), min_size=level1.units, max_size=level1.units
+            ))
+            clustering = TwoLevelClustering(level1, level2, np.array(macro))
+        path = tmp_path_factory.mktemp("clustering") / "clustering.json"
+        som.save_clustering(clustering, path)
+        again = som.load_clustering(path)
+        assert type(again) is type(clustering)
+        if isinstance(clustering, TwoLevelClustering):
+            assert_array_equal(again.macro_of_unit, clustering.macro_of_unit)
+            assert again.contiguous == clustering.contiguous
+            pairs = [(again.level1, clustering.level1), (again.level2, clustering.level2)]
+        else:
+            pairs = [(again, clustering)]
+        for got, want in pairs:
+            assert got.dimensions == want.dimensions
+            assert got.code_vectors.tobytes() == want.code_vectors.tobytes()
