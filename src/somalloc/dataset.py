@@ -36,15 +36,17 @@ def read_only(arr, dtype=None) -> np.ndarray:
 
 
 def checked_labels(labels, n_rows: int, k: int) -> np.ndarray:
-    """``labels`` as int64, after checking one label per row, each in [0, k)."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """``labels`` as int64, after checking one integer label per row, in [0, k)."""
+    labels = np.asarray(labels)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise DataError(f"labels must be integers, got {labels.dtype} values")
     if labels.shape != (n_rows,):
         raise DataError(
             f"{labels.size} labels for {n_rows} rows: need exactly one label per row"
         )
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise DataError(f"labels must lie in [0, {k})")
-    return labels
+    return labels.astype(np.int64, copy=False)
 
 
 def checked_layout(categorical_vars) -> tuple[tuple[str, tuple[str, ...]], ...]:
@@ -66,15 +68,23 @@ def checked_layout(categorical_vars) -> tuple[tuple[str, tuple[str, ...]], ...]:
     return layout
 
 
-_JSON_TYPE_NAMES = {bool: "true or false", int: "an integer"}
+_JSON_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+                    str: "a string", list: "a list"}
 
 
-def json_field(d: dict, key: str, kind: type, default=None):
+def json_field(d: dict, key: str, kind, default=None):
     """``d[key]`` (or ``default`` when given and the key is absent), refused
-    unless it is exactly of type ``kind``: no truthiness or truncation."""
+    unless it is exactly of type ``kind``: no truthiness, truncation, number
+    read from a string or list read from a string.  ``float`` admits any
+    JSON number, and ``[kind]`` a list whose every entry is of ``kind``, so
+    ``[[float]]`` is a list of rows of numbers."""
     value = d[key] if default is None else d.get(key, default)
-    if type(value) is not kind:
-        raise DataError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    outer = list if type(kind) is list else kind
+    if type(value) not in ((int, float) if outer is float else (outer,)):
+        raise DataError(f"{key} must be {_JSON_TYPE_NAMES[outer]}, got {value!r}")
+    if outer is not kind:
+        for i, entry in enumerate(value):
+            json_field({f"{key}[{i}]": entry}, f"{key}[{i}]", kind[0])
     return value
 
 
@@ -130,9 +140,10 @@ class Schema:
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
         return cls(
-            continuous_names=tuple(d["continuous"]),
+            continuous_names=tuple(json_field(d, "continuous", [str])),
             categorical_vars=tuple(
-                (v["name"], tuple(v["modalities"])) for v in d["categorical"]
+                (json_field(v, "name", str), tuple(json_field(v, "modalities", list)))
+                for v in json_field(d, "categorical", list)
             ),
             compositional=json_field(d, "compositional", bool, default=False),
         )

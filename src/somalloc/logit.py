@@ -299,18 +299,20 @@ def model_from_dict(d: dict) -> LogitModel:
     enc = d["encoding"]
     if enc["intercept"] is not True:
         raise ValueError("model encoding must have an intercept")
-    if len(enc["variables"]) != len(enc["modalities"]):
+    variables = json_field(enc, "variables", [str])
+    modalities = json_field(enc, "modalities", [list])
+    if len(variables) != len(modalities):
         raise ValueError("encoding needs one modality list per variable")
     diag = d["diagnostics"]
     return LogitModel(
         k=json_field(d, "classes", int),
-        beta=np.asarray(d["beta"], dtype=np.float64),
-        categorical_vars=tuple(zip(enc["variables"], enc["modalities"])),
+        beta=json_field(d, "beta", [[float]]),
+        categorical_vars=tuple(zip(variables, modalities)),
         diagnostics=FitDiagnostics(
-            log_likelihood=float(diag["log_likelihood"]),
-            gradient_max=float(diag["gradient_max"]),
-            iterations=int(diag["iterations"]),
-            ridge=float(diag["ridge"]),
+            log_likelihood=float(json_field(diag, "log_likelihood", float)),
+            gradient_max=float(json_field(diag, "gradient_max", float)),
+            iterations=json_field(diag, "iterations", int),
+            ridge=float(json_field(diag, "ridge", float)),
             converged=json_field(diag, "converged", bool),
         ),
     )

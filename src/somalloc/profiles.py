@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CategoricalTable, Dataset, Schema, format_float, write_csv
-from .dataset import checked_labels
+from .dataset import CategoricalTable, DataError, Dataset, Schema, checked_labels
+from .dataset import format_float, write_csv
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,16 @@ def _modality_pcts(
     codes: np.ndarray, labels: np.ndarray, k: int, counts: tuple[int, ...]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per variable, the (k, m_j) within-cluster shares and the (m_j,)
-    population shares, in percent; NaN for an empty cluster or population."""
+    population shares, in percent; NaN for an empty cluster or population.
+    A code outside [0, m_j), the missing-cell code included, is refused."""
     n = codes.shape[0]
     within, glob = [], []
     sizes = np.bincount(labels, minlength=k)[:, None]
     for j, m in enumerate(counts):
+        bad = np.flatnonzero((codes[:, j] < 0) | (codes[:, j] >= m))
+        if bad.size:
+            i = bad[0]
+            raise DataError(f"row {i}, variable {j}: code {codes[i, j]} is not in [0, {m})")
         tally = np.zeros((k, m))
         np.add.at(tally, (labels, codes[:, j]), 1.0)
         with np.errstate(invalid="ignore"):

@@ -274,14 +274,14 @@ def clustering_to_dict(clustering: Codebook | TwoLevelClustering) -> dict:
 def clustering_from_dict(d: dict) -> Codebook | TwoLevelClustering:
     if d.get("version") != 1:
         raise ValueError(f"unsupported clustering version {d.get('version')!r}")
-    dims = tuple(d["dimensions"])
+    dims = tuple(json_field(d, "dimensions", [str]))
     if d["kind"] == "codebook":
-        return Codebook(np.asarray(d["code_vectors"]), dims)
+        return Codebook(json_field(d, "code_vectors", [[float]]), dims)
     if d["kind"] == "two_level":
         clustering = TwoLevelClustering(
-            level1=Codebook(np.asarray(d["level1_code_vectors"]), dims),
-            level2=Codebook(np.asarray(d["level2_code_vectors"]), dims),
-            macro_of_unit=np.asarray(d["macro_of_unit"], dtype=np.int64),
+            level1=Codebook(json_field(d, "level1_code_vectors", [[float]]), dims),
+            level2=Codebook(json_field(d, "level2_code_vectors", [[float]]), dims),
+            macro_of_unit=json_field(d, "macro_of_unit", [int]),
         )
         stored = json_field(d, "contiguous", bool)
         if stored != clustering.contiguous:

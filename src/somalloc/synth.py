@@ -5,13 +5,17 @@ K planted clusters, each with a compositional center (shares summing to
 100) and per-cluster modality distributions for the categorical block.
 The dependence knob mixes each cluster's modality distribution with the
 global marginal (1.0 = fully cluster-specific, 0.0 = independent of the
-cluster).  Every row is generated from its own substream (seed xor row
-index), so output is deterministic and independent of generation order.
+cluster).  Row i draws from its own stream, ``default_rng(seed ^ i)``, so
+output is deterministic and a longer draw extends a shorter one.
+
+Known defect: seeds s and s ^ 1 generate the same rows, swapped pairwise
+(row i of one is row i ^ 1 of the other).  Mending it changes every draw,
+and with it every test fixture and benchmark input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +46,6 @@ class GeneratorSpec:
     dependence: float
     missing_rate: float
     seed: int
-    continuous_names: tuple[str, ...] = field(default=())
-    categorical_vars: tuple[tuple[str, tuple[str, ...]], ...] = field(default=())
 
     def __post_init__(self):
         centers = read_only(self.centers, np.float64)
@@ -71,27 +73,6 @@ class GeneratorSpec:
             raise ValueError("missing_rate must be in [0, 1)")
         if self.noise_scale < 0.0:
             raise ValueError("noise_scale must be >= 0")
-        k, p = centers.shape
-        if not self.continuous_names:
-            object.__setattr__(
-                self, "continuous_names", tuple(f"share{j:02d}" for j in range(p))
-            )
-        if not self.categorical_vars:
-            object.__setattr__(
-                self,
-                "categorical_vars",
-                tuple(
-                    (
-                        f"trait{j}",
-                        tuple(f"level{v}" for v in range(d.shape[1])),
-                    )
-                    for j, d in enumerate(self.modality_dists)
-                ),
-            )
-
-    @property
-    def n_clusters(self) -> int:
-        return self.centers.shape[0]
 
     @property
     def p(self) -> int:
@@ -100,8 +81,11 @@ class GeneratorSpec:
     @property
     def schema(self) -> Schema:
         return Schema(
-            continuous_names=self.continuous_names,
-            categorical_vars=self.categorical_vars,
+            continuous_names=tuple(f"share{j:02d}" for j in range(self.p)),
+            categorical_vars=tuple(
+                (f"trait{j}", tuple(f"level{v}" for v in range(d.shape[1])))
+                for j, d in enumerate(self.modality_dists)
+            ),
             compositional=True,
         )
 
@@ -140,12 +124,11 @@ class GeneratorSpec:
             0.0, 2.0 * np.pi
         )
         amp = 0.8
-        for c in range(k):
-            centers[c, 0] = dominant[c]
-            centers[c, flat] = flat_vals
-            weights = 1.0 + amp * np.cos(2.0 * np.pi * c / k + phases)
-            rest = COMPOSITION_TOTAL - centers[c, 0] - flat_vals.sum()
-            centers[c, vary] = rest * weights / weights.sum()
+        weights = 1.0 + amp * np.cos(2.0 * np.pi * np.arange(k)[:, None] / k + phases)
+        rest = COMPOSITION_TOTAL - dominant - flat_vals.sum()
+        centers[:, 0] = dominant
+        centers[:, flat] = flat_vals
+        centers[:, vary] = rest[:, None] * weights / weights.sum(axis=1, keepdims=True)
         centers *= COMPOSITION_TOTAL / centers.sum(axis=1, keepdims=True)
 
         dists = []
@@ -175,46 +158,44 @@ def generate(spec: GeneratorSpec) -> tuple[Dataset, np.ndarray]:
     renormalize back to 100; mask cells at the missing rate (always keeping
     at least one observed); draw each categorical variable from the
     dependence-weighted mixture of the cluster distribution and the global
-    marginal.
+    marginal.  Only the draws run row by row; the arithmetic on them runs
+    over the whole table.
     """
     k, p = spec.centers.shape
     l = len(spec.modality_dists)
-    # mixture cdfs depend only on (variable, cluster): precompute once
-    cdfs = []
-    for dist in spec.modality_dists:
-        marginal = dist.mean(axis=0)
-        mixed = spec.dependence * dist + (1.0 - spec.dependence) * marginal[None, :]
-        mixed /= mixed.sum(axis=1, keepdims=True)
-        cdfs.append(np.cumsum(mixed, axis=1))
-
-    values = np.zeros((spec.n, p))
-    observed = np.ones((spec.n, p), dtype=bool)
-    codes = np.zeros((spec.n, l), dtype=np.int64)
     labels = np.zeros(spec.n, dtype=np.int64)
+    values = np.empty((spec.n, p))  # standard normals until scaled below
+    blank = np.zeros((spec.n, p), dtype=bool)
+    keep = np.full(spec.n, -1)  # the cell kept observed in a fully blanked row
+    u = np.empty((spec.n, l))
     for i in range(spec.n):
         rng = np.random.default_rng(spec.seed ^ i)
-        c = int(rng.integers(k))
-        labels[i] = c
-        x = spec.centers[c] + spec.noise_scale * rng.standard_normal(p)
-        np.clip(x, 0.0, None, out=x)
-        s = x.sum()
-        if s == 0.0:
-            x = spec.centers[c].copy()
-            s = COMPOSITION_TOTAL
-        values[i] = x * (COMPOSITION_TOTAL / s)
+        labels[i] = rng.integers(k)
+        values[i] = rng.standard_normal(p)
         if spec.missing_rate > 0.0:
-            mask = rng.random(p) < spec.missing_rate
-            if mask.all():
-                mask[int(rng.integers(p))] = False
-            observed[i] = ~mask
-        for j in range(l):
-            m = cdfs[j].shape[1]
-            codes[i, j] = min(
-                int(np.searchsorted(cdfs[j][c], rng.random(), side="right")), m - 1
-            )
-    dataset = Dataset(
-        spec.schema,
-        ContinuousTable(values, observed),
-        CategoricalTable(codes),
-    )
-    return dataset, labels
+            blank[i] = rng.random(p) < spec.missing_rate
+            if blank[i].all():
+                keep[i] = rng.integers(p)
+        u[i] = rng.random(l)
+
+    values *= spec.noise_scale
+    for j in range(p):  # column by column, so no second n x p array is made
+        values[:, j] += spec.centers[labels, j]
+    np.clip(values, 0.0, None, out=values)
+    sums = values.sum(axis=1)
+    zero = sums == 0.0
+    values[zero] = spec.centers[labels[zero]]
+    sums[zero] = COMPOSITION_TOTAL
+    values *= (COMPOSITION_TOTAL / sums)[:, None]
+    kept = np.flatnonzero(keep >= 0)
+    blank[kept, keep[kept]] = False
+
+    codes = np.empty((spec.n, l), dtype=np.int64)
+    for j, dist in enumerate(spec.modality_dists):
+        mixed = spec.dependence * dist + (1.0 - spec.dependence) * dist.mean(axis=0)
+        mixed /= mixed.sum(axis=1, keepdims=True)
+        # the code is the number of cdf entries at or below u, capped at m - 1
+        below = np.cumsum(mixed, axis=1)[labels] <= u[:, j, None]
+        codes[:, j] = np.minimum(below.sum(axis=1), dist.shape[1] - 1)
+    table = ContinuousTable(values, ~blank)
+    return Dataset(spec.schema, table, CategoricalTable(codes)), labels

@@ -361,6 +361,12 @@ class TestArtifactChecks:
             ("two_level", "contiguous", "describe", "flipped"),
             ("model", "diagnostics", "allocate", "converged-not-a-boolean"),
             ("model", "classes", "allocate", "not-an-integer"),
+            ("two_level", "macro_of_unit", "describe", "fractional-entry"),
+            ("model", "diagnostics", "allocate", "iterations-not-an-integer"),
+            ("model", "encoding", "allocate", "modality-list-as-string"),
+            ("schema", "continuous", "describe", "list-as-string"),
+            ("clustering", "code_vectors", "describe", "numbers-as-strings"),
+            ("model", "beta", "allocate", "numbers-as-strings"),
         ],
     )
     def test_malformed_artifact_is_reported_with_its_path(
@@ -386,6 +392,19 @@ class TestArtifactChecks:
             elif damage == "not-an-integer":
                 # truncates to the stored class count, which beta matches
                 obj[key] += 0.7
+            elif damage == "fractional-entry":
+                # truncates to the stored macro cluster
+                obj[key][-1] += 0.7
+            elif damage == "iterations-not-an-integer":
+                obj[key]["iterations"] += 0.7
+            elif damage == "modality-list-as-string":
+                # one character per stored modality, so the count still fits beta
+                mods = obj[key]["modalities"]
+                mods[0] = "abcdefgh"[: len(mods[0])]
+            elif damage == "list-as-string":
+                obj[key] = "ab"
+            elif damage == "numbers-as-strings":
+                obj[key] = [[str(x) for x in row] for row in obj[key]]
             elif damage == "no-intercept":
                 # a consistent model without the intercept column
                 obj[key]["intercept"] = False

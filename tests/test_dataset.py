@@ -14,6 +14,7 @@ from somalloc.dataset import (
     DataError,
     Dataset,
     Schema,
+    checked_labels,
     load_categorical,
     load_continuous,
     load_dataset,
@@ -447,6 +448,13 @@ def test_stored_arrays_are_read_only_copies(cls):
         first = (0,) * stored.ndim
         with pytest.raises(ValueError, match="read-only"):
             stored[first] = given[first]
+
+
+@pytest.mark.parametrize("labels", [[0, 1.7], [0.0, 1.0], [True, False]], ids=str)
+def test_labels_that_are_not_integers_are_refused(labels):
+    # a cast to int64 would truncate 1.7 to 1 and read booleans as 0 and 1
+    with pytest.raises(DataError, match="labels must be integers"):
+        checked_labels(np.asarray(labels), 2, 3)
 
 
 def test_only_dataset_imports_csv_or_json():

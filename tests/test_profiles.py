@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from somalloc.dataset import CategoricalTable
+from somalloc.dataset import MISSING_CODE, CategoricalTable, DataError
 from somalloc.profiles import (
     describe_clusters,
     mean_profile_svg,
@@ -70,6 +70,13 @@ class TestTestValues:
         tables = modality_test_values(CategoricalTable(codes), labels, 3, (2,))
         assert np.isnan(tables[0][1]).all()
         assert np.isnan(tables[0][2]).all()
+
+    @pytest.mark.parametrize("code", [MISSING_CODE, 2])
+    def test_code_outside_declared_modalities_is_refused(self, code):
+        # np.add.at would count the missing-cell code -1 as the last modality
+        codes = np.array([[0], [1], [code], [code]])
+        with pytest.raises(DataError, match=rf"^row 2, variable 0: code {code} is not in"):
+            modality_test_values(CategoricalTable(codes), np.array([0, 0, 1, 1]), 2, (2,))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
