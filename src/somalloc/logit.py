@@ -26,6 +26,12 @@ def design_width(categorical_vars) -> int:
     return 1 + sum(len(mods) - 1 for _, mods in categorical_vars)
 
 
+def _codes(rows: CategoricalTable | np.ndarray) -> np.ndarray:
+    """The codes of ``rows`` as int64."""
+    codes = rows.codes if isinstance(rows, CategoricalTable) else np.asarray(rows)
+    return codes.astype(np.int64, copy=False)
+
+
 def encode_rows(rows: CategoricalTable | np.ndarray, categorical_vars) -> np.ndarray:
     """(N, d) design matrix over the ``(name, modalities)`` layout.
 
@@ -34,8 +40,7 @@ def encode_rows(rows: CategoricalTable | np.ndarray, categorical_vars) -> np.nda
     cells both encode as an all-zero block, so an unknown cell contributes
     nothing to any score.
     """
-    codes = rows.codes if isinstance(rows, CategoricalTable) else np.asarray(rows)
-    codes = codes.astype(np.int64, copy=False)
+    codes = _codes(rows)
     if codes.ndim != 2 or codes.shape[1] != len(categorical_vars):
         raise ValueError("rows must be N x l with one column per variable")
     design = np.zeros((codes.shape[0], design_width(categorical_vars)))
@@ -112,72 +117,98 @@ def _probabilities(scores: np.ndarray) -> np.ndarray:
 
 
 def _loglik_grad(
-    beta: np.ndarray, design: np.ndarray, labels: np.ndarray, k: int, ridge: float
+    beta: np.ndarray, design: np.ndarray, counts: np.ndarray, ridge: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Penalized log-likelihood, its gradient over the stacked coefficients,
-    and the per-row probability matrix."""
+    """Penalized log-likelihood of the design rows, each weighted by its
+    (N, K) per-class counts, its gradient over the stacked coefficients, and
+    the per-row probability matrix."""
+    k = counts.shape[1]
     probs = _probabilities(design @ beta.T)
-    picked = probs[np.arange(labels.shape[0]), labels]
+    seen = counts > 0
     with np.errstate(divide="ignore"):
-        ll = float(np.log(picked).sum())
-    onehot = np.zeros((labels.shape[0], k - 1))
-    mask = labels < k - 1
-    onehot[np.flatnonzero(mask), labels[mask]] = 1.0
-    grad = (onehot - probs[:, : k - 1]).T @ design
+        ll = float((counts[seen] * np.log(probs[seen])).sum())
+    n = counts.sum(axis=1, keepdims=True)
+    grad = (counts[:, : k - 1] - n * probs[:, : k - 1]).T @ design
     if ridge:
         ll -= 0.5 * ridge * float((beta * beta).sum())
         grad = grad - ridge * beta
     return ll, grad.ravel(), probs
 
 
-def _hessian(
-    design: np.ndarray, probs: np.ndarray, k: int, ridge: float
-) -> np.ndarray:
-    """Hessian of the penalized log-likelihood over the stacked coefficients.
+def _column_pairs(categorical_vars) -> tuple[np.ndarray, np.ndarray]:
+    """Design column pairs a <= b whose indicator product can be nonzero: the
+    diagonal and the pairs of columns of different variables, the intercept
+    counting as a variable of its own."""
+    widths = [1] + [len(mods) - 1 for _, mods in categorical_vars]
+    var = np.repeat(np.arange(len(widths)), widths)
+    a, b = np.triu_indices(var.size)
+    keep = (a == b) | (var[a] != var[b])
+    return a[keep], b[keep]
 
-    With A = [X p_1 | ... | X p_{K-1}] (each row of X scaled by one class
-    probability), H = A'A - blockdiag(X'A) - ridge I.  A'A and X'A are
-    accumulated over blocks of _BLOCK_ROWS rows, so the temporaries do not
-    grow with the number of rows.
+
+def _hessian(
+    design: np.ndarray, probs: np.ndarray, n: np.ndarray, categorical_vars, ridge: float
+) -> np.ndarray:
+    """Hessian of the penalized log-likelihood over the stacked coefficients
+    of rows weighted by the counts ``n``.
+
+    Entry (c, a; e, b) is sum_g n_g (p_gc p_ge - [c=e] p_gc) x_ga x_gb.  It
+    is symmetric in c, e and in a, b, so only class pairs c <= e and the
+    column pairs a <= b of ``_column_pairs`` are summed, as one product W'Z:
+    W has a column per class pair, Z the 0/1 product of each column pair.
+    W'Z is accumulated over blocks of _BLOCK_ROWS rows, so the temporaries
+    do not grow with the number of rows, and each sum is then written into
+    its four symmetric positions.
     """
-    n, d = design.shape
-    m = (k - 1) * d
-    h = np.zeros((m, m))
-    xta = np.zeros((d, m))
-    for start in range(0, n, _BLOCK_ROWS):
-        x = design[start : start + _BLOCK_ROWS]
-        p = probs[start : start + _BLOCK_ROWS, : k - 1]
-        a = (p[:, :, None] * x[:, None, :]).reshape(x.shape[0], m)
-        h += a.T @ a
-        xta += x.T @ a
-    for c in range(k - 1):
-        block = slice(c * d, (c + 1) * d)
-        h[block, block] -= xta[:, block]
+    k1 = probs.shape[1] - 1
+    d = design.shape[1]
+    ci, ei = np.triu_indices(k1)
+    same = np.flatnonzero(ci == ei)
+    pa, pb = _column_pairs(categorical_vars)
+    sums = np.zeros((ci.size, pa.size))
+    for start in range(0, design.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        p = probs[rows, :k1]
+        w = p[:, ci] * p[:, ei]
+        w[:, same] -= p
+        w *= n[rows, None]
+        x = design[rows] != 0
+        sums += w.T @ (x[:, pa] & x[:, pb]).astype(np.float64)
+    h = np.zeros((k1, d, k1, d))
+    c, e = ci[:, None], ei[:, None]
+    h[c, pa, e, pb] = sums
+    h[c, pb, e, pa] = sums
+    h[e, pa, c, pb] = sums
+    h[e, pb, c, pa] = sums
+    h = h.reshape(k1 * d, k1 * d)
     if ridge:
-        h -= ridge * np.eye(m)
+        h -= ridge * np.eye(k1 * d)
     return h
 
 
 def _newton(
     design: np.ndarray,
-    labels: np.ndarray,
-    k: int,
+    counts: np.ndarray,
+    categorical_vars,
     tol: float,
     max_iter: int,
     ridge: float,
 ) -> tuple[np.ndarray, FitDiagnostics] | None:
-    """Newton-Raphson with step halving from a zero start; None on a
-    singular Hessian, a stalled line search or, without ridge, coefficients
-    running past the separation limit."""
+    """Newton-Raphson with step halving from a zero start, on design rows
+    weighted by their (N, K) per-class counts; None on a singular Hessian, a
+    stalled line search or, without ridge, coefficients running past the
+    separation limit."""
+    k = counts.shape[1]
     d = design.shape[1]
+    n = counts.sum(axis=1)
     beta = np.zeros((k - 1, d))
-    ll, grad, probs = _loglik_grad(beta, design, labels, k, ridge)
+    ll, grad, probs = _loglik_grad(beta, design, counts, ridge)
     trace = [ll]
     gmax = float(np.abs(grad).max())
     for _ in range(max_iter):
         if gmax < tol:
             break
-        hess = _hessian(design, probs, k, ridge)
+        hess = _hessian(design, probs, n, categorical_vars, ridge)
         try:
             step = np.linalg.solve(-hess, grad).reshape(k - 1, d)
         except np.linalg.LinAlgError:
@@ -189,7 +220,7 @@ def _newton(
         flat = 32.0 * np.spacing(max(1.0, abs(ll)))
         while True:
             cand = beta + t * step
-            ll_new, grad_new, probs_new = _loglik_grad(cand, design, labels, k, ridge)
+            ll_new, grad_new, probs_new = _loglik_grad(cand, design, counts, ridge)
             if ll_new >= ll:
                 break
             if ll_new >= ll - flat and float(np.abs(grad_new).max()) < gmax:
@@ -214,6 +245,25 @@ def _newton(
     return beta, diag
 
 
+def _pattern_counts(
+    codes: np.ndarray, labels: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``codes``: the index of each one's first row, in
+    lexicographic order of the rows, and its (G, k) label counts.
+
+    Each row is keyed by a mixed-radix integer over its codes, re-ranked to
+    dense ids after every column, so the key stays below N times the radix
+    of one column however many columns there are.
+    """
+    ids = np.zeros(codes.shape[0], dtype=np.int64)
+    first = np.zeros(1, dtype=np.int64)
+    for col in codes.T:
+        key = ids * (int(col.max()) + 2) + (col + 1)
+        _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    counts = np.bincount(ids * k + labels, minlength=first.size * k)
+    return first, counts.reshape(first.size, k).astype(np.float64)
+
+
 def fit_logit(
     rows: CategoricalTable | np.ndarray,
     labels: np.ndarray,
@@ -225,13 +275,18 @@ def fit_logit(
 ) -> LogitModel:
     """Maximum-likelihood fit from a zero start.
 
+    Rows with the same codes share one design row, weighted by its per-class
+    label counts, so Newton works on the distinct patterns only; the sums
+    are the same up to their order.
+
     The first pass is unpenalized; a singular Hessian, a stalled line
     search or coefficients running past +-30 (quasi-separation) trigger one
     refit with the L2 penalty ``ridge``, recorded in the diagnostics.
     Non-convergence after the fallback is warned about, and the model is
     still returned with its diagnostics.
     """
-    design = encode_rows(rows, categorical_vars)
+    codes = _codes(rows)
+    design = encode_rows(codes, categorical_vars)
     labels = checked_labels(labels, design.shape[0], k)
     if labels.size == 0:
         raise ValueError("no rows to fit")
@@ -239,14 +294,16 @@ def fit_logit(
     if not present.all():
         missing = np.flatnonzero(~present)
         raise ValueError(f"classes absent from labels: {missing.tolist()}")
-    fit = _newton(design, labels, k, tol, max_iter, 0.0)
+    first, counts = _pattern_counts(codes, labels, k)
+    design = design[first]
+    fit = _newton(design, counts, categorical_vars, tol, max_iter, 0.0)
     if fit is None:
         if ridge <= 0.0:
             raise ValueError(
                 "fit failed (singular Hessian or separated data) and the "
                 "ridge fallback is disabled"
             )
-        fit = _newton(design, labels, k, tol, max_iter, ridge)
+        fit = _newton(design, counts, categorical_vars, tol, max_iter, ridge)
         if fit is None:
             raise ValueError(
                 "fit failed even with the ridge penalty; data may be degenerate"
@@ -269,7 +326,7 @@ def log_likelihood(
 ) -> float:
     design = encode_rows(rows, m.categorical_vars)
     labels = checked_labels(labels, design.shape[0], m.k)
-    ll, _, _ = _loglik_grad(m.beta, design, labels, m.k, 0.0)
+    ll, _, _ = _loglik_grad(m.beta, design, np.eye(m.k)[labels], 0.0)
     return ll
 
 
@@ -294,8 +351,9 @@ def model_to_dict(m: LogitModel) -> dict:
 
 
 def model_from_dict(d: dict) -> LogitModel:
-    if d.get("version") != 1:
-        raise ValueError(f"unsupported model version {d.get('version')!r}")
+    version = json_field(d, "version", int)
+    if version != 1:
+        raise ValueError(f"unsupported model version {version!r}")
     enc = d["encoding"]
     if enc["intercept"] is not True:
         raise ValueError("model encoding must have an intercept")

@@ -13,7 +13,7 @@ files.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from . import allocation, logit, profiles, som, varselect
@@ -22,6 +22,7 @@ from .dataset import (
     Dataset,
     Schema,
     format_float,
+    json_field,
     load_dataset,
     read_json,
     save_dataset,
@@ -31,6 +32,10 @@ from .dataset import (
     write_csv,
     write_json,
 )
+
+
+# JSON kind of each field type of PipelineConfig, as annotated
+_JSON_KINDS = {"str": str, "int": int, "float": float, "int | None": int}
 
 
 class StageError(RuntimeError):
@@ -73,11 +78,23 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
+        """The config in ``d``, each field checked against its declared type:
+        an absent field keeps its default, and an ``int | None`` one may be
+        null."""
+        declared = {f.name: f for f in fields(cls)}
+        unknown = set(d) - set(declared)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+        values = {}
+        for name, f in declared.items():
+            if name not in d and f.default is not MISSING:
+                continue
+            value = d[name]
+            # the seed's type and range are checked together in __post_init__
+            if name != "seed" and not (value is None and f.type.endswith("| None")):
+                json_field(d, name, _JSON_KINDS[f.type])
+            values[name] = value
+        return cls(**values)
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":

@@ -272,8 +272,9 @@ def clustering_to_dict(clustering: Codebook | TwoLevelClustering) -> dict:
 
 
 def clustering_from_dict(d: dict) -> Codebook | TwoLevelClustering:
-    if d.get("version") != 1:
-        raise ValueError(f"unsupported clustering version {d.get('version')!r}")
+    version = json_field(d, "version", int)
+    if version != 1:
+        raise ValueError(f"unsupported clustering version {version!r}")
     dims = tuple(json_field(d, "dimensions", [str]))
     if d["kind"] == "codebook":
         return Codebook(json_field(d, "code_vectors", [[float]]), dims)

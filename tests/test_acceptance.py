@@ -89,15 +89,15 @@ class TestCriterion3GradientCheck:
             design = logit.encode_rows(codes, spec)
             labels = rng.integers(k, size=n)
             beta = rng.normal(scale=0.7, size=(k - 1, design_width(spec)))
-            _, grad, _ = _loglik_grad(beta, design, labels, k, 0.0)
+            _, grad, _ = _loglik_grad(beta, design, np.eye(k)[labels], 0.0)
             fd = np.zeros_like(grad)
             flat = beta.ravel()
             for i in range(flat.size):
                 plus, minus = flat.copy(), flat.copy()
                 plus[i] += h
                 minus[i] -= h
-                lp, _, _ = _loglik_grad(plus.reshape(beta.shape), design, labels, k, 0.0)
-                lm, _, _ = _loglik_grad(minus.reshape(beta.shape), design, labels, k, 0.0)
+                lp, _, _ = _loglik_grad(plus.reshape(beta.shape), design, np.eye(k)[labels], 0.0)
+                lm, _, _ = _loglik_grad(minus.reshape(beta.shape), design, np.eye(k)[labels], 0.0)
                 fd[i] = (lp - lm) / (2 * h)
             rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1.0)
             worst = max(worst, float(rel.max()))

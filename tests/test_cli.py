@@ -367,6 +367,11 @@ class TestArtifactChecks:
             ("schema", "continuous", "describe", "list-as-string"),
             ("clustering", "code_vectors", "describe", "numbers-as-strings"),
             ("model", "beta", "allocate", "numbers-as-strings"),
+            ("config", "units", "run", "number-as-string"),
+            ("config", "test_count", "run", "fractional"),
+            ("clustering", "version", "describe", "version-true"),
+            ("two_level", "version", "describe", "version-true"),
+            ("model", "version", "allocate", "version-true"),
         ],
     )
     def test_malformed_artifact_is_reported_with_its_path(
@@ -403,6 +408,13 @@ class TestArtifactChecks:
                 mods[0] = "abcdefgh"[: len(mods[0])]
             elif damage == "list-as-string":
                 obj[key] = "ab"
+            elif damage == "number-as-string":
+                obj[key] = str(obj[key])
+            elif damage == "fractional":
+                obj[key] += 0.5
+            elif damage == "version-true":
+                # equal to 1 in Python, but not the integer 1
+                obj[key] = True
             elif damage == "numbers-as-strings":
                 obj[key] = [[str(x) for x in row] for row in obj[key]]
             elif damage == "no-intercept":

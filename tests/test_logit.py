@@ -15,6 +15,7 @@ from somalloc.logit import (
     LogitModel,
     _hessian,
     _loglik_grad,
+    _pattern_counts,
     _probabilities,
     design_width,
     encode_rows,
@@ -253,7 +254,7 @@ class TestFit:
         )
         labels = rng.integers(3, size=60)
         beta = rng.normal(scale=0.5, size=(2, design_width(spec)))
-        _, grad, _ = _loglik_grad(beta, design, labels, 3, 0.0)
+        _, grad, _ = _loglik_grad(beta, design, np.eye(3)[labels], 0.0)
         h = 1e-5
         fd = np.zeros_like(grad)
         flat = beta.ravel().copy()
@@ -262,10 +263,33 @@ class TestFit:
             plus[i] += h
             minus = flat.copy()
             minus[i] -= h
-            lp, _, _ = _loglik_grad(plus.reshape(beta.shape), design, labels, 3, 0.0)
-            lm, _, _ = _loglik_grad(minus.reshape(beta.shape), design, labels, 3, 0.0)
+            lp, _, _ = _loglik_grad(plus.reshape(beta.shape), design, np.eye(3)[labels], 0.0)
+            lm, _, _ = _loglik_grad(minus.reshape(beta.shape), design, np.eye(3)[labels], 0.0)
             fd[i] = (lp - lm) / (2 * h)
         assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
+
+    def test_permuted_and_repeated_rows_give_the_same_fit(self):
+        # a fit that converges without the ridge: labels only lean on the codes
+        rng = np.random.default_rng(11)
+        n = 600
+        rows = np.column_stack([rng.integers(3, size=n), rng.integers(4, size=n)])
+        labels = (rows[:, 0] + rows[:, 1] + rng.integers(3, size=n)) % 3
+        spec = (("u", ("a", "b", "c")), ("v", ("w", "x", "y", "z")))
+        base = fit_logit(rows, labels, 3, spec)
+        order = rng.permutation(2 * n)
+        twice = fit_logit(np.tile(rows, (2, 1))[order], np.tile(labels, 2)[order], 3, spec)
+        assert base.diagnostics.ridge == twice.diagnostics.ridge == 0.0
+        assert_allclose(twice.beta, base.beta, rtol=0, atol=1e-10)
+        assert twice.diagnostics.log_likelihood == pytest.approx(
+            2 * base.diagnostics.log_likelihood, rel=1e-12
+        )
+
+    def test_bad_code_names_its_input_row(self):
+        # the bad row is the 7th of the input but the 3rd distinct pattern
+        rows = np.array([[0], [1], [0], [1], [0], [1], [5], [0]])
+        labels = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+        with pytest.raises(ValueError, match="^row 7, variable 'v': modality index 5"):
+            fit_logit(rows, labels, 2, binary_spec())
 
     def test_reference_relabeling_preserves_probabilities(self):
         rng = np.random.default_rng(6)
@@ -285,6 +309,24 @@ class TestFit:
         assert not np.allclose(base.beta, other.beta)
 
 
+class TestPatternCounts:
+    def test_wide_rows_group_into_sorted_patterns_with_label_counts(self):
+        # 40 variables of 9 modalities plus missing cells: a mixed-radix key
+        # over all columns at once would need 10**40 values
+        rng = np.random.default_rng(12)
+        pool = rng.integers(MISSING_CODE, 9, size=(300, 40))
+        codes = pool[rng.integers(300, size=2000)]
+        labels = rng.integers(6, size=2000)
+        first, counts = _pattern_counts(codes, labels, 6)
+        patterns = np.unique(codes, axis=0)
+        assert_array_equal(codes[first], patterns)
+        assert counts.sum() == 2000
+        for g, pattern in enumerate(patterns):
+            members = np.flatnonzero((codes == pattern).all(axis=1))
+            assert first[g] == members[0]
+            assert_array_equal(counts[g], np.bincount(labels[members], minlength=6))
+
+
 def hessian_by_blocks(design, probs, k, ridge):
     """The Hessian one (K-1) x (K-1) block at a time:
     H_ab = -X' diag(p_a (delta_ab - p_b)) X, minus ridge on the diagonal."""
@@ -298,22 +340,35 @@ def hessian_by_blocks(design, probs, k, ridge):
 
 
 class TestHessian:
-    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize(
+        "k, repeated",
+        [(2, False), (4, False), (20, False), (4, True), (20, True)],
+        ids=["2", "4", "20", "4-counted", "20-counted"],
+    )
     @pytest.mark.parametrize("ridge", [0.0, 0.5])
-    def test_matches_per_block_formula(self, k, ridge):
+    def test_matches_per_block_formula(self, k, ridge, repeated):
         # two full row blocks and a partial third
         design, probs = random_design_and_probs(2 * _BLOCK_ROWS + 7, k, seed=10 + k)
-        h = _hessian(design, probs, k, ridge)
-        assert_allclose(h, hessian_by_blocks(design, probs, k, ridge), rtol=1e-12, atol=1e-10)
+        n = np.ones(design.shape[0], dtype=np.int64)
+        if repeated:
+            # rows that stand for 1 to 4 identical rows: the formula applies
+            # to the rows expanded back
+            n = np.random.default_rng(k).integers(1, 5, size=design.shape[0])
+        h = _hessian(design, probs, n.astype(float), survey_spec(), ridge)
+        expected = hessian_by_blocks(
+            np.repeat(design, n, axis=0), np.repeat(probs, n, axis=0), k, ridge
+        )
+        assert_allclose(h, expected, rtol=1e-12, atol=1e-10)
 
     def test_peak_memory_does_not_grow_with_rows(self):
         k = 4
 
         def traced_peak(n):
             design, probs = random_design_and_probs(n, k, seed=n)
+            counts = np.ones(n)
             tracemalloc.start()
             try:
-                _hessian(design, probs, k, 0.0)
+                _hessian(design, probs, counts, survey_spec(), 0.0)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
