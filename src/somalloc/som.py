@@ -3,14 +3,12 @@
 Units live on a string: unit i neighbors i-1 and i+1.  Matching and updates
 use only the observed components of a row, so incomplete rows train and
 assign without imputation.  A large map can be reduced to a few macro
-clusters by training a second, smaller string over its code-vectors; thanks
-to topology preservation the macro clusters come out as contiguous runs of
-units, which is verified and flagged rather than enforced.
+clusters by Fisher's exact split of its string into contiguous runs of
+units, numbered along the string.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,28 +83,27 @@ class Codebook:
 
 @dataclass(frozen=True)
 class TwoLevelClustering:
-    """A large map plus a smaller map trained over its code-vectors.
+    """A large map whose string is split into contiguous macro clusters.
 
-    macro_of_unit maps every level-1 unit to its macro cluster.
+    macro_of_unit maps every level-1 unit to its macro cluster, numbered
+    along the string, so cluster i neighbours clusters i-1 and i+1.
     """
 
     level1: Codebook
-    level2: Codebook
     macro_of_unit: np.ndarray
 
     def __post_init__(self):
-        macro = checked_labels(self.macro_of_unit, self.level1.units, self.level2.units)
+        macro = checked_labels(self.macro_of_unit, self.level1.units, self.level1.units)
+        if macro[:1].tolist() != [0] or not np.isin(np.diff(macro), (0, 1)).all():
+            raise ValueError(
+                "macro_of_unit must number runs along the string: start at 0 "
+                f"and step by 0 or 1, got {macro.tolist()}"
+            )
         object.__setattr__(self, "macro_of_unit", read_only(macro))
 
     @property
     def n_clusters(self) -> int:
-        return self.level2.units
-
-    @property
-    def contiguous(self) -> bool:
-        """Whether every macro cluster is an unbroken run along the level-1
-        string (a diagnostic, not a guarantee)."""
-        return _contiguous_runs(self.macro_of_unit)
+        return int(self.macro_of_unit[-1]) + 1
 
 
 def _masked_distances(
@@ -220,27 +217,41 @@ def quantization_error(cb: Codebook, data: ContinuousTable) -> float:
     return float(dist.min(axis=1).mean())
 
 
-def _contiguous_runs(labels: np.ndarray) -> bool:
-    for v in np.unique(labels):
-        pos = np.flatnonzero(labels == v)
-        if pos[-1] - pos[0] + 1 != pos.size:
-            return False
-    return True
+def reduce_codebook(level1: Codebook, k2: int, best_units) -> TwoLevelClustering:
+    """Split the level-1 string into k2 contiguous runs, each with hits.
 
-
-def reduce_codebook(level1: Codebook, k2: int, cfg: SomConfig) -> TwoLevelClustering:
-    """Cluster the level-1 code-vectors with a k2-unit string map.
-
-    Run contiguity along the level-1 string is checked and reported in the
-    result, not repaired.
+    ``best_units`` holds each training row's level-1 best matching unit.
+    Fisher's (1958) exact dynamic programme minimises the hit-weighted
+    within-run sum of squares of the code-vectors in O(k2 * units^2).  Ties
+    go to the earliest split point: hitless units join the later run.
     """
-    m = level1.units
-    if k2 > m:
-        raise ValueError(f"cannot reduce {m} units to {k2} macro clusters")
-    cfg2 = dataclasses.replace(cfg, units=k2, radius_start=None)
-    table = ContinuousTable(level1.code_vectors, np.ones_like(level1.code_vectors, dtype=bool))
-    level2 = train_som(table, cfg2, dimensions=level1.dimensions)
-    return TwoLevelClustering(level1, level2, assign_all(level2, table))
+    w = np.bincount(best_units, minlength=level1.units).astype(np.float64)
+    occupied = int((w > 0).sum())
+    if not 1 <= k2 <= occupied:
+        raise ValueError(
+            f"cannot split the string into {k2} macro clusters: "
+            f"{occupied} of its {level1.units} units have training hits"
+        )
+    c = level1.code_vectors
+    # row j: the sums of w, w*c and w*|c|^2 over units [0, j)
+    stats = np.column_stack([w, w[:, None] * c, w * (c * c).sum(axis=1)])
+    prefix = np.vstack([np.zeros(stats.shape[1]), np.cumsum(stats, axis=0)])
+    # run[i, j]: the sums over units [i, j); its w is a whole count
+    run = prefix[None, :, :] - prefix[:, None, :]
+    dw, ds, dq = run[..., 0], run[..., 1:-1], run[..., -1]
+    cost = np.where(dw > 0, dq - (ds * ds).sum(axis=2) / np.maximum(dw, 1.0), np.inf)
+    # best[j]: least cost of units [0, j) in r + 1 runs; start[r][j]: where
+    # the last run begins when they make r + 2 runs
+    best, start = cost[0], []
+    for _ in range(k2 - 1):
+        total = best[:, None] + cost
+        start.append(total.argmin(axis=0))
+        best = total.min(axis=0)
+    end, macro = level1.units, np.zeros(level1.units, dtype=np.int64)
+    for begins in reversed(start):
+        end = int(begins[end])
+        macro[end:] += 1
+    return TwoLevelClustering(level1, macro)
 
 
 def cluster_labels(
@@ -255,16 +266,14 @@ def cluster_labels(
 def clustering_to_dict(clustering: Codebook | TwoLevelClustering) -> dict:
     if isinstance(clustering, TwoLevelClustering):
         return {
-            "version": 1,
+            "version": 2,
             "kind": "two_level",
             "dimensions": list(clustering.level1.dimensions),
             "level1_code_vectors": clustering.level1.code_vectors.tolist(),
-            "level2_code_vectors": clustering.level2.code_vectors.tolist(),
             "macro_of_unit": clustering.macro_of_unit.tolist(),
-            "contiguous": clustering.contiguous,
         }
     return {
-        "version": 1,
+        "version": 2,
         "kind": "codebook",
         "dimensions": list(clustering.dimensions),
         "code_vectors": clustering.code_vectors.tolist(),
@@ -273,24 +282,16 @@ def clustering_to_dict(clustering: Codebook | TwoLevelClustering) -> dict:
 
 def clustering_from_dict(d: dict) -> Codebook | TwoLevelClustering:
     version = json_field(d, "version", int)
-    if version != 1:
+    if version != 2:
         raise ValueError(f"unsupported clustering version {version!r}")
     dims = tuple(json_field(d, "dimensions", [str]))
     if d["kind"] == "codebook":
         return Codebook(json_field(d, "code_vectors", [[float]]), dims)
     if d["kind"] == "two_level":
-        clustering = TwoLevelClustering(
+        return TwoLevelClustering(
             level1=Codebook(json_field(d, "level1_code_vectors", [[float]]), dims),
-            level2=Codebook(json_field(d, "level2_code_vectors", [[float]]), dims),
             macro_of_unit=json_field(d, "macro_of_unit", [int]),
         )
-        stored = json_field(d, "contiguous", bool)
-        if stored != clustering.contiguous:
-            raise ValueError(
-                f"contiguous is {str(stored).lower()}, but macro_of_unit gives "
-                f"{str(clustering.contiguous).lower()}"
-            )
-        return clustering
     raise ValueError(f"unknown clustering kind {d['kind']!r}")
 
 

@@ -13,7 +13,7 @@ from somalloc.allocation import (
 )
 from somalloc.dataset import ContinuousTable
 from somalloc.logit import FitDiagnostics, LogitModel
-from somalloc.som import Codebook, SomConfig, reduce_codebook, train_som
+from somalloc.som import Codebook, SomConfig, assign_all, reduce_codebook, train_som
 from somalloc.synth import GeneratorSpec, generate
 
 # regression fixtures: five-cluster allocation-vs-reference tables,
@@ -137,8 +137,8 @@ class TestTrueClass:
         labels = rng.integers(4, size=400)
         x = centers[labels] + rng.normal(0, 1.0, size=400)
         data = ContinuousTable(x[:, None], np.ones((400, 1), bool))
-        cfg = SomConfig(units=12, epochs=10, seed=23)
-        return reduce_codebook(train_som(data, cfg), 4, cfg)
+        level1 = train_som(data, SomConfig(units=12, epochs=10, seed=23))
+        return reduce_codebook(level1, 4, assign_all(level1, data))
 
     def test_level1_code_vector_maps_to_its_macro(self):
         two = self._two_level()

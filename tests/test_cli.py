@@ -134,6 +134,27 @@ class TestSubcommands:
         assert two.n_clusters == 4
         assert two.level1.units == 20
 
+    def test_train_refuses_more_macro_clusters_than_units_with_hits(
+        self, data_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "two.json"
+        rc = main(
+            [
+                "train",
+                "--continuous", str(data_dir / "continuous.csv"),
+                "--schema", str(data_dir / "schema.json"),
+                "--units", "3",
+                "--macro-units", "4",
+                "--epochs", "1",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [train] cannot split the string into 4 macro clusters")
+        assert "units have training hits" in err
+        assert not out.exists()
+
     def test_stagewise_chain(self, data_dir, tmp_path):
         cb = tmp_path / "cb.json"
         main(
@@ -357,8 +378,9 @@ class TestArtifactChecks:
             ("model", "encoding", "allocate", "no-intercept"),
             ("model", "encoding", "allocate", "intercept-flag-false"),
             ("model", "encoding", "allocate", "modality-list-missing"),
-            ("two_level", "contiguous", "describe", "not-a-boolean"),
-            ("two_level", "contiguous", "describe", "flipped"),
+            ("two_level", "macro_of_unit", "describe", "decreasing"),
+            ("two_level", "macro_of_unit", "describe", "skips-a-number"),
+            ("two_level", "version", "describe", "version-1"),
             ("model", "diagnostics", "allocate", "converged-not-a-boolean"),
             ("model", "classes", "allocate", "not-an-integer"),
             ("two_level", "macro_of_unit", "describe", "fractional-entry"),
@@ -389,9 +411,15 @@ class TestArtifactChecks:
                 del obj[key]
             elif damage == "not-a-boolean":
                 obj[key] = "no"
-            elif damage == "flipped":
-                # a well-formed flag that macro_of_unit contradicts
-                obj[key] = not obj[key]
+            elif damage == "decreasing":
+                # integers in range, but macro cluster 1 comes back to 0
+                obj[key] = [0, 1] + [0] * (len(obj[key]) - 2)
+            elif damage == "skips-a-number":
+                # integers in range, but no unit is in macro cluster 1
+                obj[key] = [0] * (len(obj[key]) - 1) + [2]
+            elif damage == "version-1":
+                # the format that stored a second map and a contiguity flag
+                obj[key] = 1
             elif damage == "converged-not-a-boolean":
                 obj[key]["converged"] = "false"
             elif damage == "not-an-integer":

@@ -418,7 +418,7 @@ def _stored_and_given_arrays(cls):
         return [(Codebook(vectors, ("a", "b")).code_vectors, vectors)]
     if cls is TwoLevelClustering:
         cb = Codebook(vectors, ("a", "b"))
-        return [(TwoLevelClustering(cb, cb, macro).macro_of_unit, macro)]
+        return [(TwoLevelClustering(cb, macro).macro_of_unit, macro)]
     if cls is LogitModel:
         beta = np.array([[0.5, -0.5]])
         diag = FitDiagnostics(0.0, 0.0, 0, 0.0, True)

@@ -1,4 +1,7 @@
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from somalloc import som
 from somalloc.dataset import ContinuousTable, DataError
+from somalloc.pipeline import PipelineConfig, run_pipeline, train_clustering
 from somalloc.som import (
     Codebook,
     SomConfig,
@@ -20,6 +24,7 @@ from somalloc.som import (
     reduce_codebook,
     train_som,
 )
+from somalloc.synth import GeneratorSpec, generate
 
 
 def table(values, observed=None):
@@ -329,36 +334,130 @@ class TestQuantizationError:
         assert quantization_error(cb20, data) <= quantization_error(cb5, data)
 
 
+def direct_split_cost(code_vectors, hits, labels):
+    """Hit-weighted within-run sum of squares, summed run by run from each
+    run's weighted mean."""
+    cost = 0.0
+    for v in np.unique(labels):
+        w, c = hits[labels == v], code_vectors[labels == v]
+        mean = (w[:, None] * c).sum(axis=0) / w.sum()
+        cost += float((w[:, None] * (c - mean) ** 2).sum())
+    return cost
+
+
+def brute_force_split(code_vectors, hits, k2):
+    """The least-cost split of the string into k2 contiguous runs that each
+    hold a hit, by enumerating every split; ties go to the split whose run
+    starts, read from the last, come earliest."""
+    m = len(hits)
+    splits = []
+    for starts in itertools.combinations(range(1, m), k2 - 1):
+        labels = np.searchsorted(np.array(starts, dtype=int), np.arange(m), side="right")
+        if np.bincount(labels, weights=hits, minlength=k2).min() > 0:
+            splits.append((direct_split_cost(code_vectors, hits, labels), starts, labels))
+    least = min(cost for cost, _, _ in splits)
+    tied = [(starts[::-1], labels) for cost, starts, labels in splits
+            if cost <= least + 1e-12 * max(1.0, least)]
+    return least, min(tied, key=lambda t: t[0])[1]
+
+
 class TestReduction:
     def test_twenty_to_five_macro_clusters(self):
         data, _ = scalar_clusters(seed=21, n=600)
-        cfg = SomConfig(units=20, epochs=10, seed=21)
-        level1 = train_som(data, cfg)
-        two = reduce_codebook(level1, 5, cfg)
-        assert two.level2.units == 5
+        level1 = train_som(data, SomConfig(units=20, epochs=10, seed=21))
+        two = reduce_codebook(level1, 5, assign_all(level1, data))
         assert two.macro_of_unit.shape == (20,)
-        assert set(np.unique(two.macro_of_unit)) <= set(range(5))
+        assert_array_equal(np.unique(two.macro_of_unit), np.arange(5))
         assert two.n_clusters == 5
 
     def test_identity_reduction_keeps_units_apart(self):
-        # well separated code-vectors, as many macro units as units: every
-        # macro class holds exactly one unit
+        # as many macro clusters as units with hits: every run holds one unit
         level1 = Codebook(np.arange(6, dtype=float)[:, None] * 10.0, ("a",))
-        cfg = SomConfig(units=6, epochs=60, seed=5)
-        two = reduce_codebook(level1, 6, cfg)
-        assert sorted(two.macro_of_unit.tolist()) == list(range(6))
+        two = reduce_codebook(level1, 6, np.arange(6))
+        assert_array_equal(two.macro_of_unit, np.arange(6))
 
-    def test_monotone_code_vectors_give_contiguous_macros(self):
-        for seed in range(5):
-            level1 = Codebook(np.linspace(0, 100, 20)[:, None], ("a",))
-            cfg = SomConfig(units=20, epochs=40, seed=seed)
-            two = reduce_codebook(level1, 4, cfg)
-            assert two.contiguous
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_brute_force_enumeration(self, seed):
+        rng = np.random.default_rng(seed)
+        m, p = int(rng.integers(1, 10)), int(rng.integers(1, 4))
+        vectors = rng.normal(0.0, 3.0, size=(m, p))
+        hits = rng.integers(0, 5, size=m) * (rng.random(m) < 0.7)
+        hits[rng.integers(m)] += 1
+        k2 = int(rng.integers(1, min(4, np.count_nonzero(hits)) + 1))
+        level1 = Codebook(vectors, tuple(f"d{j}" for j in range(p)))
+        two = reduce_codebook(level1, k2, np.repeat(np.arange(m), hits))
+        least, labels = brute_force_split(vectors, hits, k2)
+        assert abs(direct_split_cost(vectors, hits, two.macro_of_unit) - least) <= 1e-12
+        assert_array_equal(two.macro_of_unit, labels)
 
-    def test_too_many_macro_units_rejected(self):
+    def test_one_macro_cluster_is_the_whole_string(self):
+        level1 = Codebook(np.arange(5, dtype=float)[:, None], ("a",))
+        two = reduce_codebook(level1, 1, np.array([1, 1, 3]))
+        assert_array_equal(two.macro_of_unit, np.zeros(5, dtype=int))
+
+    def test_as_many_clusters_as_hit_units_puts_hitless_units_in_the_later_run(self):
+        level1 = Codebook(np.arange(6, dtype=float)[:, None], ("a",))
+        # hits on units 1, 3 and 5 only
+        two = reduce_codebook(level1, 3, np.array([1, 1, 3, 5, 5, 5]))
+        assert_array_equal(two.macro_of_unit, [0, 0, 1, 1, 2, 2])
+
+    @pytest.mark.parametrize("k2", [0, 3, 4])
+    def test_more_macro_clusters_than_units_with_hits_rejected(self, k2):
         level1 = Codebook(np.zeros((3, 2)), ("a", "b"))
-        with pytest.raises(ValueError, match="reduce"):
-            reduce_codebook(level1, 4, SomConfig(units=3))
+        with pytest.raises(ValueError, match="2 of its 3 units have training hits"):
+            reduce_codebook(level1, k2, np.array([0, 0, 2]))
+
+    def test_two_level_needs_runs_numbered_along_the_string(self):
+        level1 = Codebook(np.zeros((4, 1)), ("a",))
+        assert TwoLevelClustering(level1, np.array([0, 0, 1, 2])).n_clusters == 3
+        for macro in ([1, 1, 2, 2], [0, 1, 0, 1], [0, 0, 2, 2]):
+            with pytest.raises(ValueError, match="number runs along the string"):
+                TwoLevelClustering(level1, np.array(macro))
+
+
+class TestMacroClusterRegressions:
+    """Seeds at which a second map trained over the code-vectors left a
+    macro cluster without training rows."""
+
+    def test_alloc_30k_seed_23_learning_base_completes(self, tmp_path):
+        # the benchmark's alloc-30k base: population seed 1, rows drawn with seed 23
+        spec = dataclasses.replace(GeneratorSpec.survey_shaped(seed=1, n=8809), seed=23)
+        dataset, _ = generate(spec)
+        cfg = PipelineConfig(
+            continuous_path="", categorical_path="", schema_path="",
+            outdir=str(tmp_path), seed=23, test_count=409,
+            method="c1", units=20, macro_units=5,
+        )
+        report = run_pipeline(cfg, dataset=dataset)
+        assert report["n_clusters"] == 5
+        assert report["macro_contiguous"] is True
+        labels = np.loadtxt(tmp_path / "train_labels.csv", skiprows=1, dtype=int)
+        assert (np.bincount(labels, minlength=5) > 0).all()
+
+    def test_sweep_gives_non_empty_runs_or_fails_at_train(self, tmp_path):
+        outcomes = []
+        for seed in range(1, 6):
+            data, _ = generate(GeneratorSpec.survey_shaped(seed=seed, n=300))
+            for units in (10, 20, 30):
+                cfg = SomConfig(units=units, epochs=2, seed=seed)
+                for k2 in (3, 5, 8):
+                    try:
+                        clustering, _ = train_clustering(
+                            data.continuous, data.schema.continuous_names, cfg, k2,
+                            tmp_path / "clustering.json",
+                        )
+                    except ValueError as exc:
+                        assert "units have training hits" in str(exc)
+                        outcomes.append("train")
+                        continue
+                    macro = clustering.macro_of_unit
+                    assert_array_equal(np.unique(macro), np.arange(k2))
+                    assert set(np.diff(macro)) <= {0, 1}
+                    labels = cluster_labels(clustering, data.continuous)
+                    assert (np.bincount(labels, minlength=k2) > 0).all()
+                    outcomes.append("split")
+        assert len(outcomes) == 45
 
 
 class TestClusterOf:
@@ -366,7 +465,7 @@ class TestClusterOf:
         data, _ = scalar_clusters(seed=31, n=500)
         cfg = SomConfig(units=10, epochs=10, seed=31)
         level1 = train_som(data, cfg)
-        two = reduce_codebook(level1, 3, cfg)
+        two = reduce_codebook(level1, 3, assign_all(level1, data))
         labels = cluster_labels(two, table(level1.code_vectors))
         assert_array_equal(labels, two.macro_of_unit)
 
@@ -393,13 +492,12 @@ class TestSerialization:
     def test_two_level_round_trip(self):
         data, _ = scalar_clusters(seed=51, n=300)
         cfg = SomConfig(units=8, epochs=6, seed=51)
-        two = reduce_codebook(train_som(data, cfg), 3, cfg)
+        level1 = train_som(data, cfg)
+        two = reduce_codebook(level1, 3, assign_all(level1, data))
         again = clustering_from_dict(clustering_to_dict(two))
         assert isinstance(again, TwoLevelClustering)
         assert_array_equal(again.macro_of_unit, two.macro_of_unit)
         assert_array_equal(again.level1.code_vectors, two.level1.code_vectors)
-        assert_array_equal(again.level2.code_vectors, two.level2.code_vectors)
-        assert again.contiguous == two.contiguous
 
     def test_unknown_version_rejected(self):
         with pytest.raises(ValueError, match="version"):
@@ -424,19 +522,18 @@ class TestSerialization:
         level1 = codebook(data.draw(st.integers(1, 6)))
         clustering = level1
         if data.draw(st.booleans()):
-            level2 = codebook(data.draw(st.integers(1, level1.units)))
-            macro = data.draw(st.lists(
-                st.integers(0, level2.units - 1), min_size=level1.units, max_size=level1.units
+            # macro clusters numbered along the string: steps of 0 or 1
+            steps = data.draw(st.lists(
+                st.integers(0, 1), min_size=level1.units - 1, max_size=level1.units - 1
             ))
-            clustering = TwoLevelClustering(level1, level2, np.array(macro))
+            clustering = TwoLevelClustering(level1, np.cumsum([0] + steps))
         path = tmp_path_factory.mktemp("clustering") / "clustering.json"
         som.save_clustering(clustering, path)
         again = som.load_clustering(path)
         assert type(again) is type(clustering)
         if isinstance(clustering, TwoLevelClustering):
             assert_array_equal(again.macro_of_unit, clustering.macro_of_unit)
-            assert again.contiguous == clustering.contiguous
-            pairs = [(again.level1, clustering.level1), (again.level2, clustering.level2)]
+            pairs = [(again.level1, clustering.level1)]
         else:
             pairs = [(again, clustering)]
         for got, want in pairs:
