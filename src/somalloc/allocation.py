@@ -107,8 +107,10 @@ class ContingencyTable:
 
     def save_csv(self, path) -> None:
         header = ["allocated"] + [f"true_{j}" for j in range(self.k)]
-        rows = ([i] + [int(v) for v in row] for i, row in enumerate(self.counts))
-        write_csv(path, header, rows)
+        lines = (
+            f"{i},{','.join(map(str, row))}" for i, row in enumerate(self.counts.tolist())
+        )
+        write_csv(path, header, lines)
 
 
 def build_contingency(

@@ -68,7 +68,7 @@ def _cmd_train(args) -> int:
     schema = Schema.load(args.schema)
     table = load_continuous(args.continuous, schema)
     cfg = som.SomConfig(units=args.units, epochs=args.epochs, seed=args.seed)
-    _, qe = train_clustering(
+    _, qe, _ = train_clustering(
         table, schema.continuous_names, cfg, args.macro_units, args.out
     )
     note = f"{args.units} units"

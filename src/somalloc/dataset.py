@@ -12,6 +12,7 @@ Every CSV and JSON artifact of the package is written and read here.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -175,9 +176,11 @@ class ContinuousTable:
         if values.shape[0] and not observed.any(axis=1).all():
             row = int(np.flatnonzero(~observed.any(axis=1))[0])
             raise DataError(f"row {row + 1}: no observed continuous entries")
-        if not np.isfinite(values[observed]).all():
+        values = np.where(observed, values, 0.0)
+        if not np.isfinite(values).all():
             raise DataError("observed continuous values must be finite")
-        object.__setattr__(self, "values", read_only(np.where(observed, values, 0.0)))
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "observed", observed)
 
     @property
@@ -260,16 +263,48 @@ class Dataset:
         return self.continuous.n_rows
 
 
+# Rows per block of the CSV readers and float writer: enough that the
+# per-block numpy calls cost nothing next to the cells, few enough that a
+# block's cell strings stay small.
+_BLOCK_ROWS = 512
+
+
 def format_float(x) -> str:
     """Shortest string that reads back as the same double."""
     return repr(float(x))
 
 
-def write_csv(path, header, rows) -> None:
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, with its quotes doubled, only when
+    it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def float_lines(values: np.ndarray, observed: np.ndarray | None = None):
+    """Each row of the 2-d float array ``values`` as CSV fields joined by
+    commas: the ``format_float`` string of each value, or an empty field
+    where ``observed`` is False.  Rows are formatted ``_BLOCK_ROWS`` at a
+    time, so the strings of only one block are held at once."""
+    for start in range(0, values.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        cells = list(map(repr, values[rows].ravel().tolist()))
+        if observed is not None:
+            for k in np.flatnonzero(~observed[rows].ravel()).tolist():
+                cells[k] = ""
+        # consecutive runs of one row's width of cells make the rows
+        yield from map(",".join, zip(*[iter(cells)] * values.shape[1]))
+
+
+def write_csv(path, header, lines) -> None:
+    """Write the header names and ``lines``, each the CSV fields of one row
+    joined by commas, escaped already with ``csv_field`` where they are
+    text.  Lines end in CRLF and a row whose only field is empty is written
+    as ``""``, so the bytes are those csv.writer writes for the same rows."""
+    lines = itertools.chain([",".join(map(csv_field, header))], lines)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(line + "\r\n" if line else '""\r\n' for line in lines)
 
 
 def write_json(path, obj) -> None:
@@ -293,47 +328,103 @@ def read_json(path, from_dict):
         raise DataError(f"{path}: {exc}") from None
 
 
-def _read_csv(path, expected_header=None) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of a CSV file, after checking the header against
-    ``expected_header`` when given and that every row has one field per
-    header column."""
+def _csv_blocks(path, expected_header=None):
+    """The header of a CSV file, then its rows as ``(first_row, rows)``
+    blocks of at most ``_BLOCK_ROWS`` rows, ``first_row`` being the 1-based
+    number of ``rows[0]``.
+
+    The header is checked against ``expected_header`` when given, and every
+    row for one field per header column as the rows arrive.  A row of the
+    wrong width ends its block early and raises when the next block is
+    asked for, so that a bad cell in an earlier row is reported first.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header, rows = rows[0], rows[1:]
-    if expected_header is not None and header != list(expected_header):
-        raise DataError(
-            f"{path}: header mismatch: expected {list(expected_header)}, got {header}"
-        )
-    width = len(header)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: row {i + 1}: expected {width} fields, got {len(row)}")
-    return header, rows
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        if expected_header is not None and header != list(expected_header):
+            raise DataError(
+                f"{path}: header mismatch: expected {list(expected_header)}, got {header}"
+            )
+        yield header
+        width, first = len(header), 1
+        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+            widths = list(map(len, rows))
+            if widths.count(width) != len(rows):
+                bad = next(i for i, w in enumerate(widths) if w != width)
+                if bad:
+                    yield first, rows[:bad]
+                raise DataError(
+                    f"{path}: row {first + bad}: expected {width} fields, got {widths[bad]}"
+                )
+            yield first, rows
+            first += len(rows)
 
 
-def load_continuous(path, schema: Schema) -> ContinuousTable:
-    """Read the continuous CSV; empty fields become unobserved cells."""
-    names = schema.continuous_names
-    _, rows = _read_csv(path, names)
-    n, p = len(rows), schema.p
-    values = np.zeros((n, p))
-    observed = np.zeros((n, p), dtype=bool)
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
+def _raise_continuous_error(path, names, first, rows) -> None:
+    """Raise on the first malformed or non-finite number, or row without an
+    observed cell, of a block that failed to convert as a whole."""
+    for i, row in enumerate(rows, first):
+        seen = False
+        for name, cell in zip(names, row):
             cell = cell.strip()
             if not cell:
                 continue
             try:
-                values[i, j] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise DataError(
-                    f"{path}: row {i + 1}, column {names[j]!r}: "
-                    f"malformed number {cell!r}"
+                    f"{path}: row {i}, column {name!r}: malformed number {cell!r}"
                 ) from None
-            observed[i, j] = True
+            if not np.isfinite(value):
+                raise DataError(
+                    f"{path}: row {i}, column {name!r}: non-finite number {cell!r}"
+                )
+            seen = True
+        if not seen:
+            raise DataError(f"{path}: row {i}: no observed continuous entries")
+
+
+def load_continuous(path, schema: Schema) -> ContinuousTable:
+    """Read the continuous CSV; empty fields become unobserved cells."""
+    names, p = schema.continuous_names, schema.p
+    values, observed = [np.empty(0)], [np.empty(0, dtype=bool)]
+    # islice skips the header, which _csv_blocks has checked
+    for first, rows in itertools.islice(_csv_blocks(path, names), 1, None):
+        cells = list(map(str.strip, itertools.chain.from_iterable(rows)))
+        seen = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+        for k in np.flatnonzero(~seen).tolist():
+            cells[k] = "0"  # the canonical fill of an unobserved cell
+        try:
+            block = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        except ValueError:
+            block = None
+        if (
+            block is None
+            or not np.isfinite(block).all()
+            or not seen.reshape(-1, p).any(axis=1).all()
+        ):
+            _raise_continuous_error(path, names, first, rows)
+        values.append(block)
+        observed.append(seen)
+    # rebinding frees each list of blocks once it is joined
+    values = np.concatenate(values).reshape(-1, p)
+    observed = np.concatenate(observed).reshape(-1, p)
     return ContinuousTable(values, observed)
+
+
+def _raise_categorical_error(path, names, lookup, first, rows) -> None:
+    """Raise on the first missing or unknown cell of a block that failed to
+    map as a whole."""
+    for i, row in enumerate(rows, first):
+        for name, codes_of, cell in zip(names, lookup, row):
+            cell = cell.strip()
+            if cell in codes_of:
+                continue
+            if not cell:
+                raise DataError(f"{path}: row {i}, column {name!r}: missing value")
+            raise DataError(f"{path}: row {i}, column {name!r}: unknown modality {cell!r}")
 
 
 def load_categorical(path, layout, allow_missing: bool = False) -> CategoricalTable:
@@ -344,26 +435,27 @@ def load_categorical(path, layout, allow_missing: bool = False) -> CategoricalTa
     Empty cells are accepted only with allow_missing (new-individual files).
     """
     names = [name for name, _ in layout.categorical_vars]
-    _, rows = _read_csv(path, names)
     lookup = [
         {label: idx for idx, label in enumerate(mods)}
         for _, mods in layout.categorical_vars
     ]
-    codes = np.full((len(rows), len(names)), MISSING_CODE, dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if not cell:
-                if allow_missing:
-                    continue
-                raise DataError(f"{path}: row {i + 1}, column {names[j]!r}: missing value")
-            try:
-                codes[i, j] = lookup[j][cell]
-            except KeyError:
-                raise DataError(
-                    f"{path}: row {i + 1}, column {names[j]!r}: unknown modality {cell!r}"
-                ) from None
-    return CategoricalTable(codes)
+    if allow_missing:
+        for codes_of in lookup:
+            codes_of[""] = MISSING_CODE
+    blocks = [np.empty((0, len(names)), dtype=np.int64)]
+    # islice skips the header, which _csv_blocks has checked
+    for first, rows in itertools.islice(_csv_blocks(path, names), 1, None):
+        block = np.empty((len(rows), len(names)), dtype=np.int64)
+        try:
+            for j, (codes_of, column) in enumerate(zip(lookup, zip(*rows))):
+                block[:, j] = np.fromiter(
+                    map(codes_of.__getitem__, map(str.strip, column)),
+                    dtype=np.int64, count=len(rows),
+                )
+        except KeyError:
+            _raise_categorical_error(path, names, lookup, first, rows)
+        blocks.append(block)
+    return CategoricalTable(np.concatenate(blocks))
 
 
 def load_dataset(continuous_path, categorical_path, schema: Schema) -> Dataset:
@@ -373,20 +465,16 @@ def load_dataset(continuous_path, categorical_path, schema: Schema) -> Dataset:
 
 
 def save_continuous(table: ContinuousTable, schema: Schema, path) -> None:
-    rows = (
-        [format_float(v) if o else "" for v, o in zip(vals, obs)]
-        for vals, obs in zip(table.values, table.observed)
-    )
-    write_csv(path, schema.continuous_names, rows)
+    write_csv(path, schema.continuous_names, float_lines(table.values, table.observed))
 
 
 def save_categorical(table: CategoricalTable, schema: Schema, path) -> None:
-    modalities = [mods for _, mods in schema.categorical_vars]
-    rows = (
-        [modalities[j][c] if c >= 0 else "" for j, c in enumerate(row)]
-        for row in table.codes
-    )
-    write_csv(path, schema.categorical_names, rows)
+    columns = []
+    for codes, (_, mods) in zip(table.codes.T, schema.categorical_vars):
+        # code c writes fields[c + 1], so MISSING_CODE writes ""
+        fields = [""] + list(map(csv_field, mods))
+        columns.append(list(map(fields.__getitem__, (codes + 1).tolist())))
+    write_csv(path, schema.categorical_names, map(",".join, zip(*columns)))
 
 
 def save_dataset(d: Dataset, continuous_path, categorical_path) -> None:
@@ -397,21 +485,30 @@ def save_dataset(d: Dataset, continuous_path, categorical_path) -> None:
 def load_labels(path) -> np.ndarray:
     """Integer labels from a single-column CSV or from the ``assigned``
     column of an allocations file."""
-    header, rows = _read_csv(path)
+    blocks = _csv_blocks(path)
+    header = next(blocks)
     if len(header) == 1:
         col = 0
     elif "assigned" in header:
         col = header.index("assigned")
     else:
         raise DataError(f"{path}: expected a label column or an allocations file")
-    try:
-        return np.array([int(r[col]) for r in rows], dtype=np.int64)
-    except ValueError:
-        raise DataError(f"{path}: malformed label column") from None
+    labels = [np.empty(0, dtype=np.int64)]
+    for first, rows in blocks:
+        cells = [row[col] for row in rows]
+        try:
+            labels.append(np.fromiter(map(int, cells), dtype=np.int64, count=len(cells)))
+        except (ValueError, OverflowError):
+            for i, cell in enumerate(cells, first):
+                try:
+                    np.int64(int(cell))
+                except (ValueError, OverflowError):
+                    raise DataError(f"{path}: row {i}: malformed label {cell!r}") from None
+    return np.concatenate(labels)
 
 
 def save_labels(labels: np.ndarray, path) -> None:
-    write_csv(path, ["cluster"], ([int(v)] for v in labels))
+    write_csv(path, ["cluster"], map(str, np.asarray(labels).astype(np.int64).tolist()))
 
 
 def _take(d: Dataset, idx: np.ndarray) -> Dataset:

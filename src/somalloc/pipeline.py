@@ -16,12 +16,14 @@ import contextlib
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import allocation, logit, profiles, som, varselect
 from .dataset import (
     ContinuousTable,
     Dataset,
     Schema,
-    format_float,
+    float_lines,
     json_field,
     load_dataset,
     read_json,
@@ -117,17 +119,20 @@ def train_clustering(
     cfg: som.SomConfig,
     macro_units: int | None,
     path,
-) -> tuple[som.Codebook | som.TwoLevelClustering, float]:
+) -> tuple[som.Codebook | som.TwoLevelClustering, float, np.ndarray]:
     """Train the level-1 map, reduce it to ``macro_units`` macro clusters
     when given, save the clustering to ``path`` and return it with the
-    level-1 quantization error; the error and the hits share one distance pass."""
+    level-1 quantization error and the cluster label of every row of
+    ``table``; the error, the hits and the labels share one distance pass."""
     level1 = som.train_som(table, cfg, dimensions=dimensions)
     dist = som._masked_distances(table.values, table.observed, level1.code_vectors)
-    clustering = level1
+    best = dist.argmin(axis=1)
+    clustering, labels = level1, best
     if macro_units is not None:
-        clustering = som.reduce_codebook(level1, macro_units, dist.argmin(axis=1))
+        clustering = som.reduce_codebook(level1, macro_units, best)
+        labels = clustering.macro_of_unit[best]
     som.save_clustering(clustering, path)
-    return clustering, float(dist.min(axis=1).mean())
+    return clustering, float(dist.min(axis=1).mean()), labels
 
 
 def describe(d: Dataset, labels, k: int, outdir: Path) -> None:
@@ -181,14 +186,13 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> dict:
             seed=cfg.seed,
         )
         macro_units = cfg.macro_units if cfg.method == "c1" else None
-        clustering, qe = train_clustering(
+        clustering, qe, labels_train = train_clustering(
             train.continuous,
             train.schema.continuous_names,
             som_cfg,
             macro_units,
             outdir / "clustering.json",
         )
-        labels_train = som.cluster_labels(clustering, train.continuous)
         save_labels(labels_train, outdir / "train_labels.csv")
         n_clusters = clustering.n_clusters
 
@@ -245,10 +249,11 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> dict:
 def _save_allocations(result, path) -> None:
     k = result.probabilities.shape[1]
     header = ["row"] + [f"p{j}" for j in range(k)] + ["assigned", "missing_cells"]
-    rows = (
-        [i]
-        + [format_float(v) for v in result.probabilities[i]]
-        + [int(result.assigned[i]), int(result.missing_counts[i])]
-        for i in range(result.n_rows)
+    lines = map(
+        "{},{},{},{}".format,
+        range(result.n_rows),
+        float_lines(result.probabilities),
+        result.assigned.tolist(),
+        result.missing_counts.tolist(),
     )
-    write_csv(path, header, rows)
+    write_csv(path, header, lines)

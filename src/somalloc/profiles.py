@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CategoricalTable, DataError, Dataset, Schema, checked_labels
-from .dataset import format_float, write_csv
+from .dataset import csv_field, format_float, write_csv
 
 
 @dataclass(frozen=True)
@@ -139,42 +139,32 @@ def save_continuous_stats_csv(
     profiles: tuple[ClusterProfile, ...], schema: Schema, path
 ) -> None:
     header = ["cluster", "size", "variable", "count", "mean", "variance", "q1", "median", "q3"]
-    rows = (
-        [
-            prof.cluster,
-            prof.size,
-            name,
-            int(prof.cont_count[j]),
-            _cell(prof.cont_mean[j]),
-            _cell(prof.cont_variance[j]),
-            _cell(prof.cont_q1[j]),
-            _cell(prof.cont_median[j]),
-            _cell(prof.cont_q3[j]),
-        ]
+    names = list(map(csv_field, schema.continuous_names))
+    lines = (
+        f"{prof.cluster},{prof.size},{name},{int(prof.cont_count[j])},"
+        f"{_cell(prof.cont_mean[j])},{_cell(prof.cont_variance[j])},"
+        f"{_cell(prof.cont_q1[j])},{_cell(prof.cont_median[j])},{_cell(prof.cont_q3[j])}"
         for prof in profiles
-        for j, name in enumerate(schema.continuous_names)
+        for j, name in enumerate(names)
     )
-    write_csv(path, header, rows)
+    write_csv(path, header, lines)
 
 
 def save_modality_csv(
     profiles: tuple[ClusterProfile, ...], schema: Schema, path
 ) -> None:
     header = ["cluster", "variable", "modality", "within_pct", "global_pct", "test_value"]
-    rows = (
-        [
-            prof.cluster,
-            name,
-            label,
-            _cell(prof.within_pct[j][m]),
-            _cell(prof.global_pct[j][m]),
-            _cell(prof.test_value[j][m]),
-        ]
+    layout = [
+        (csv_field(name), list(map(csv_field, mods))) for name, mods in schema.categorical_vars
+    ]
+    lines = (
+        f"{prof.cluster},{name},{label},{_cell(prof.within_pct[j][m])},"
+        f"{_cell(prof.global_pct[j][m])},{_cell(prof.test_value[j][m])}"
         for prof in profiles
-        for j, (name, mods) in enumerate(schema.categorical_vars)
-        for m, label in enumerate(mods)
+        for j, (name, labels) in enumerate(layout)
+        for m, label in enumerate(labels)
     )
-    write_csv(path, header, rows)
+    write_csv(path, header, lines)
 
 
 def mean_profile_svg(profiles: tuple[ClusterProfile, ...], schema: Schema) -> str:

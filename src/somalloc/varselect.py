@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataError, Dataset, format_float, write_csv
+from .dataset import DataError, Dataset, csv_field, format_float, write_csv
 from .logit import encode_rows
 
 
@@ -54,19 +54,13 @@ class AnovaReport:
 
     def save_csv(self, path) -> None:
         header = ["variable", "F", "R2", "df_model", "df_error", "selected", "rows_used"]
-        rows = (
-            [
-                v.name,
-                format_float(v.fisher_statistic),
-                format_float(v.r_squared),
-                v.df_model,
-                v.df_error,
-                int(v.selected),
-                v.rows_used,
-            ]
+        lines = (
+            f"{csv_field(v.name)},{format_float(v.fisher_statistic)},"
+            f"{format_float(v.r_squared)},{v.df_model},{v.df_error},"
+            f"{int(v.selected)},{v.rows_used}"
             for v in self.variables
         )
-        write_csv(path, header, rows)
+        write_csv(path, header, lines)
 
 
 def fit_additive_anova(

@@ -1,4 +1,7 @@
 import ast
+import csv
+import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +12,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from somalloc.allocation import AllocationResult, ContingencyTable
 from somalloc.dataset import (
+    _BLOCK_ROWS,
+    MISSING_CODE,
     CategoricalTable,
     ContinuousTable,
     DataError,
     Dataset,
     Schema,
     checked_labels,
+    csv_field,
     load_categorical,
     load_continuous,
     load_dataset,
@@ -23,12 +29,15 @@ from somalloc.dataset import (
     save_categorical,
     save_continuous,
     save_dataset,
+    save_labels,
     split_dataset,
     subset_continuous,
+    write_csv,
 )
 from somalloc.logit import FitDiagnostics, LogitModel
+from somalloc.pipeline import _save_allocations
 from somalloc.som import Codebook, TwoLevelClustering
-from somalloc.synth import GeneratorSpec
+from somalloc.synth import GeneratorSpec, generate
 
 
 def write(path, text):
@@ -478,3 +487,180 @@ def test_only_dataset_imports_csv_or_json():
                 if name.split(".")[0] in ("csv", "json")
             ]
     assert offenders == []
+
+
+# a file of three blocks whose defects sit in the last, short block
+BLOCKS_N = 2 * _BLOCK_ROWS + 7
+LAST_BLOCK_ROW = 2 * _BLOCK_ROWS + 5
+
+
+def csv_lines(path, header, row, bad_row):
+    """BLOCKS_N rows under ``header``: ``bad_row`` as row LAST_BLOCK_ROW
+    (1-based), ``row`` everywhere else."""
+    rows = [row] * BLOCKS_N
+    rows[LAST_BLOCK_ROW - 1] = bad_row
+    return write(path, "\n".join([header, *rows]) + "\n")
+
+
+class TestBlockReader:
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("50,3O,20", r"row {i}, column 'housing': malformed number '3O'"),
+            ("50,30,20,1", r"row {i}: expected 3 fields, got 4"),
+            ("50,inf,20", r"row {i}, column 'housing': non-finite number 'inf'"),
+            ("nan,30,20", r"row {i}, column 'food': non-finite number 'nan'"),
+            (" , ,", r"row {i}: no observed continuous entries"),
+        ],
+        ids=["malformed", "field-count", "inf", "nan", "all-blank"],
+    )
+    def test_continuous_defect_in_last_block_names_its_row(
+        self, housing_schema, tmp_path, bad_row, message
+    ):
+        path = csv_lines(tmp_path / "c.csv", "food,housing,leisure", "50,30,20", bad_row)
+        with pytest.raises(DataError) as exc:
+            load_continuous(path, housing_schema)
+        assert str(exc.value) == f"{path}: " + message.format(i=LAST_BLOCK_ROW)
+
+    @pytest.mark.parametrize(
+        "bad_row, allow_missing, message",
+        [
+            ("Owner,Huge", True, "row {i}, column 'town': unknown modality 'Huge'"),
+            ("Owner,", False, "row {i}, column 'town': missing value"),
+            ("Owner", True, "row {i}: expected 2 fields, got 1"),
+        ],
+        ids=["unknown", "blank-in-learning-base", "field-count"],
+    )
+    def test_categorical_defect_in_last_block_names_its_row(
+        self, housing_schema, tmp_path, bad_row, allow_missing, message
+    ):
+        path = csv_lines(tmp_path / "k.csv", "tenure,town", "Tenant,Small", bad_row)
+        with pytest.raises(DataError) as exc:
+            load_categorical(path, housing_schema, allow_missing=allow_missing)
+        assert str(exc.value) == f"{path}: " + message.format(i=LAST_BLOCK_ROW)
+
+    @pytest.mark.parametrize("cell", ["x3", "9" * 20], ids=["text", "beyond-int64"])
+    def test_malformed_label_in_last_block_names_its_row(self, tmp_path, cell):
+        path = csv_lines(tmp_path / "labels.csv", "cluster", "3", cell)
+        with pytest.raises(DataError) as exc:
+            load_labels(path)
+        assert str(exc.value) == f"{path}: row {LAST_BLOCK_ROW}: malformed label {cell!r}"
+
+    def test_first_defect_in_file_order_is_reported(self, housing_schema, tmp_path):
+        rows = ["50,30,20"] * BLOCKS_N
+        rows[_BLOCK_ROWS + 3] = "50,30,20,1"  # wrong width, later in the block
+        rows[_BLOCK_ROWS + 1] = "50,3O,20"
+        path = write(tmp_path / "c.csv", "\n".join(["food,housing,leisure", *rows]))
+        with pytest.raises(DataError, match=f"row {_BLOCK_ROWS + 2}, column 'housing'"):
+            load_continuous(path, housing_schema)
+        # within one row the field count comes first
+        rows[_BLOCK_ROWS + 1] = "50,3O,20,1"
+        path = write(tmp_path / "c.csv", "\n".join(["food,housing,leisure", *rows]))
+        with pytest.raises(DataError, match=f"row {_BLOCK_ROWS + 2}: expected 3 fields"):
+            load_continuous(path, housing_schema)
+
+    def test_multi_block_files_round_trip(self, tmp_path):
+        data, labels = generate(GeneratorSpec.survey_shaped(seed=9, n=BLOCKS_N))
+        codes = data.categorical.codes.copy()
+        codes[np.random.default_rng(9).random(codes.shape) < 0.1] = MISSING_CODE
+        save_dataset(data, tmp_path / "c.csv", tmp_path / "k.csv")
+        save_categorical(CategoricalTable(codes), data.schema, tmp_path / "new.csv")
+        save_labels(labels, tmp_path / "labels.csv")
+        again = load_continuous(tmp_path / "c.csv", data.schema)
+        assert_array_equal(again.observed, data.continuous.observed)
+        assert_array_equal(again.values.view(np.int64), data.continuous.values.view(np.int64))
+        assert_array_equal(
+            load_categorical(tmp_path / "k.csv", data.schema).codes, data.categorical.codes
+        )
+        new = load_categorical(tmp_path / "new.csv", data.schema, allow_missing=True)
+        assert_array_equal(new.codes, codes)
+        assert_array_equal(load_labels(tmp_path / "labels.csv"), labels)
+
+    def test_parse_peak_holds_no_cell_strings_of_the_whole_file(self, tmp_path):
+        p = 6
+        schema = Schema(tuple(f"c{j}" for j in range(p)), (("g", ("a", "b")),))
+
+        def traced_peak(n):
+            rng = np.random.default_rng(n)
+            observed = rng.random((n, p)) > 0.1
+            observed[:, 0] = True
+            path = tmp_path / f"c{n}.csv"
+            save_continuous(ContinuousTable(rng.random((n, p)), observed), schema, path)
+            tracemalloc.start()
+            try:
+                table = load_continuous(path, schema)
+                return tracemalloc.get_traced_memory()[1], table
+            finally:
+                tracemalloc.stop()
+
+        small, _ = traced_peak(2 * _BLOCK_ROWS)
+        large, table = traced_peak(8 * _BLOCK_ROWS)
+        # ContinuousTable copies the loader's arrays, so two copies of the
+        # output coexist; a str per cell would cost more than 50 bytes
+        assert large - small <= 2 * (table.values.nbytes + table.observed.nbytes)
+
+
+FIELDS = st.one_of(
+    st.text(max_size=5),
+    st.sampled_from(["", ",", '"', "\n", "\r", "\r\n", 'a,"b"', " x ", "1.5"]),
+)
+
+
+class TestLineWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_writes_the_bytes_of_csv_writer(self, tmp_path_factory, width, data):
+        header = data.draw(st.lists(FIELDS, min_size=width, max_size=width))
+        rows = data.draw(st.lists(
+            st.lists(FIELDS, min_size=width, max_size=width), max_size=6
+        ))
+        folder = tmp_path_factory.mktemp("lines")
+        write_csv(folder / "lines.csv", header, (",".join(map(csv_field, r)) for r in rows))
+        with open(folder / "writer.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        assert (folder / "lines.csv").read_bytes() == (folder / "writer.csv").read_bytes()
+
+    def test_one_column_with_blank_cells_reads_back(self, tmp_path):
+        schema = Schema(("x",), (("v,1", ("a,b", 'say "hi"', "l1\nl2")),))
+        codes = np.array([[0], [MISSING_CODE], [2], [MISSING_CODE], [1]])
+        save_categorical(CategoricalTable(codes), schema, tmp_path / "k.csv")
+        assert (tmp_path / "k.csv").read_bytes() == (
+            b'"v,1"\r\n"a,b"\r\n""\r\n"l1\nl2"\r\n""\r\n"say ""hi"""\r\n'
+        )
+        again = load_categorical(tmp_path / "k.csv", schema, allow_missing=True)
+        assert_array_equal(again.codes, codes)
+
+
+# sha256 of each writer's file for the table below, as written by the
+# csv.writer-based writers these line writers replaced
+WRITER_SHA256 = {
+    "continuous.csv": "9fb2e2add932b7b9120e1da593dc758215602f9ba5de373f4977ad26f22c760a",
+    "categorical.csv": "1d4c81145b854d8d0a17f85e79f828d13db4cec4e72a7a5f7625d8b3f567f275",
+    "labels.csv": "7e99b7406bb3279203ffa57857e4ecb9f533f71de2ec61441135ab2d8d79d186",
+    "allocations.csv": "8245e91f32ddec683b5c54034b8592f08a6c844b7c33dd4dd86c678fea476000",
+}
+
+
+def test_writers_keep_their_bytes(tmp_path):
+    data, labels = generate(GeneratorSpec.survey_shaped(seed=5, n=300, missing_rate=0.1))
+    codes = data.categorical.codes.copy()
+    codes[np.random.default_rng(1).random(codes.shape) < 0.1] = MISSING_CODE
+    probs = np.random.default_rng(2).random((300, 4))
+    probs /= probs.sum(axis=1, keepdims=True)
+    result = AllocationResult(
+        probs, probs.argmax(axis=1), "sample", (codes == MISSING_CODE).sum(axis=1)
+    )
+    save_continuous(data.continuous, data.schema, tmp_path / "continuous.csv")
+    save_categorical(CategoricalTable(codes), data.schema, tmp_path / "categorical.csv")
+    save_labels(labels, tmp_path / "labels.csv")
+    _save_allocations(result, tmp_path / "allocations.csv")
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in WRITER_SHA256
+    }
+    assert digests == WRITER_SHA256

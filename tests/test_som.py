@@ -443,7 +443,7 @@ class TestMacroClusterRegressions:
                 cfg = SomConfig(units=units, epochs=2, seed=seed)
                 for k2 in (3, 5, 8):
                     try:
-                        clustering, _ = train_clustering(
+                        clustering, _, labels = train_clustering(
                             data.continuous, data.schema.continuous_names, cfg, k2,
                             tmp_path / "clustering.json",
                         )
@@ -454,7 +454,7 @@ class TestMacroClusterRegressions:
                     macro = clustering.macro_of_unit
                     assert_array_equal(np.unique(macro), np.arange(k2))
                     assert set(np.diff(macro)) <= {0, 1}
-                    labels = cluster_labels(clustering, data.continuous)
+                    assert_array_equal(labels, cluster_labels(clustering, data.continuous))
                     assert (np.bincount(labels, minlength=k2) > 0).all()
                     outcomes.append("split")
         assert len(outcomes) == 45
