@@ -1,8 +1,11 @@
 """Command line interface: one subcommand per pipeline stage plus ``run``.
 
 Stages hand data off through files (CSV/JSON), so any stage can be run and
-tested in isolation.  Exit code 0 on success; failures print a
-stage-tagged message and return a nonzero code.
+tested in isolation.  Each subcommand parses its flags and calls the stage
+function ``run`` calls, so the chain ``select-vars`` → ``train`` →
+``label`` → ``describe`` → ``fit`` → ``allocate`` → ``label`` →
+``evaluate`` writes ``run``'s files byte for byte.  Exit code 0 on
+success; failures print a stage-tagged message and return a nonzero code.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import allocation, logit, som, varselect
+from . import allocation, logit, som
 from .dataset import (
-    DataError,
     Schema,
     load_categorical,
     load_continuous,
@@ -29,7 +31,10 @@ from .pipeline import (
     StageError,
     _save_allocations,
     describe,
+    reference_classes,
     run_pipeline,
+    score,
+    screen,
     train_clustering,
 )
 from .synth import GeneratorSpec, generate
@@ -57,10 +62,14 @@ def _cmd_synth(args) -> int:
 def _cmd_select_vars(args) -> int:
     schema = Schema.load(args.schema)
     dataset = load_dataset(args.continuous, args.categorical, schema)
-    report = varselect.select_variables(dataset, args.threshold)
-    report.save_csv(args.out)
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    report, train, test = screen(dataset, args.threshold, args.test_count, args.seed, outdir)
     kept = len(report.selected_indices)
-    print(f"selected {kept}/{len(report.variables)} variables (R2 >= {args.threshold})")
+    print(
+        f"selected {kept}/{len(report.variables)} variables (R2 >= {args.threshold}); "
+        f"{train.n_rows} train and {test.n_rows} test rows in {outdir}"
+    )
     return 0
 
 
@@ -78,23 +87,23 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_describe(args) -> int:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_label(args) -> int:
     schema = Schema.load(args.schema)
     clustering = som.load_clustering(args.clustering)
-    if isinstance(clustering, som.TwoLevelClustering):
-        level1 = clustering.level1
-    else:
-        level1 = clustering
-    if level1.dimensions != schema.continuous_names:
-        raise DataError(
-            f"{args.clustering}: clustering dimensions {list(level1.dimensions)} "
-            f"do not match the schema's continuous variables "
-            f"{list(schema.continuous_names)}"
-        )
+    table = load_continuous(args.continuous, schema)
+    labels = reference_classes(clustering, args.clustering, table, schema)
+    save_labels(labels, args.out)
+    print(f"labelled {len(labels)} rows with {clustering.n_clusters} clusters to {args.out}")
+    return 0
+
+
+def _cmd_describe(args) -> int:
+    schema = Schema.load(args.schema)
+    clustering = som.load_clustering(args.clustering)
     dataset = load_dataset(args.continuous, args.categorical, schema)
-    labels = som.cluster_labels(clustering, dataset.continuous)
+    labels = reference_classes(clustering, args.clustering, dataset.continuous, schema)
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     describe(dataset, labels, clustering.n_clusters, outdir)
     print(f"described {clustering.n_clusters} clusters in {outdir}")
     return 0
@@ -135,9 +144,7 @@ def _cmd_allocate(args) -> int:
 def _cmd_evaluate(args) -> int:
     allocated = load_labels(args.allocated)
     truth = load_labels(args.truth)
-    table = allocation.build_contingency(allocated, truth, args.classes)
-    table.save_csv(args.out_table)
-    summary = allocation.evaluate(table)
+    summary = score(allocated, truth, args.classes, args.out_table)
     write_json(args.out_metrics, summary.to_dict())
     print(
         f"exact {summary.exact}/{summary.total} ({summary.exact_rate:.2%}), "
@@ -193,12 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=1.5)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("select-vars", help="screen continuous variables by ANOVA R2")
+    p = sub.add_parser("select-vars", help="screen by ANOVA R2, renormalize, split train/test")
     p.add_argument("--continuous", required=True)
     p.add_argument("--categorical", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--threshold", type=float, default=0.08)
-    p.add_argument("--out", required=True)
+    p.add_argument("--test-count", type=int, required=True,
+                   help="rows drawn into the test part of the reduced base")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--outdir", required=True)
     p.set_defaults(func=_cmd_select_vars)
 
     p = sub.add_parser("train", help="train the 1-d map (optionally reduced to macro clusters)")
@@ -211,6 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
+
+    p = sub.add_parser("label", help="reference class of each continuous row under a clustering")
+    p.add_argument("--clustering", required=True)
+    p.add_argument("--continuous", required=True)
+    p.add_argument("--schema", required=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_label)
 
     p = sub.add_parser("describe", help="cluster statistics, test values and profile chart")
     p.add_argument("--continuous", required=True)

@@ -1,13 +1,15 @@
 """End-to-end pipeline: screen, renormalize, split, cluster, describe,
 fit, allocate, score.
 
-Every stage writes its artifact to the output directory, so each stage can
-also be run (and inspected) in isolation through the CLI, whose ``train``
-and ``describe`` subcommands call the same stage bodies as ``run``.  A stage failure
-aborts the run with the stage name attached; artifacts written so far are
-kept.  Reports are plain JSON with sorted keys and shortest round-trip
-float formatting, so two runs with the same config produce byte-identical
-files.
+Each stage's logic lives here once: ``run_pipeline`` is the composition of
+the stage functions below, and each CLI subcommand parses its flags and
+calls the same function (fit and allocate are one library call plus a
+save, which both callers make directly).  Every stage writes its artifact
+to the output directory, so the stage-by-stage CLI chain writes ``run``'s
+files byte for byte.  A stage failure aborts the run with the stage name
+attached; artifacts written so far are kept.  Reports are plain JSON with
+sorted keys and shortest round-trip float formatting, so two runs with the
+same config produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from . import allocation, logit, profiles, som, varselect
 from .dataset import (
     ContinuousTable,
+    DataError,
     Dataset,
     Schema,
     float_lines,
@@ -135,6 +138,48 @@ def train_clustering(
     return clustering, float(dist.min(axis=1).mean()), labels
 
 
+def screen(
+    dataset: Dataset, threshold: float, test_count: int, seed: int, outdir: Path
+) -> tuple[varselect.AnovaReport, Dataset, Dataset]:
+    """Screen, renormalize and split the learning base; writes ``anova.csv``,
+    ``reduced_schema.json`` and ``{train,test}_{continuous,categorical}.csv``."""
+    with _stage("select-vars"):
+        report = varselect.select_variables(dataset, threshold)
+        report.save_csv(outdir / "anova.csv")
+
+    with _stage("renormalize"):
+        keep = report.selected_indices
+        if not keep:
+            raise ValueError(
+                f"no continuous variable reaches R2 >= {threshold}; nothing to cluster"
+            )
+        reduced = subset_continuous(dataset, keep)
+        reduced.schema.save(outdir / "reduced_schema.json")
+
+    with _stage("split"):
+        train, test = split_dataset(reduced, test_count, seed)
+        for name, part in (("train", train), ("test", test)):
+            save_dataset(
+                part, outdir / f"{name}_continuous.csv", outdir / f"{name}_categorical.csv"
+            )
+    return report, train, test
+
+
+def reference_classes(
+    clustering, path, table: ContinuousTable, schema: Schema
+) -> np.ndarray:
+    """Cluster of each row of ``table``, read against ``schema``, under the
+    clustering saved at ``path``; refused unless the schema's continuous
+    variables are the clustering's dimensions."""
+    if clustering.dimensions != schema.continuous_names:
+        raise DataError(
+            f"{path}: clustering dimensions {list(clustering.dimensions)} "
+            f"do not match the schema's continuous variables "
+            f"{list(schema.continuous_names)}"
+        )
+    return allocation.true_classes(clustering, table)
+
+
 def describe(d: Dataset, labels, k: int, outdir: Path) -> None:
     """Write the cluster statistics, modality test values and profile chart."""
     profs = profiles.describe_clusters(d, labels, k)
@@ -143,6 +188,14 @@ def describe(d: Dataset, labels, k: int, outdir: Path) -> None:
     (outdir / "cluster_profiles.svg").write_text(
         profiles.mean_profile_svg(profs, d.schema), encoding="utf-8"
     )
+
+
+def score(assigned, truth, k: int, path) -> allocation.EvaluationSummary:
+    """Save the allocated × reference contingency table to ``path`` and
+    return its exact and correct rates."""
+    table = allocation.build_contingency(assigned, truth, k)
+    table.save_csv(path)
+    return allocation.evaluate(table)
 
 
 def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> dict:
@@ -159,21 +212,7 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> dict:
             schema = Schema.load(cfg.schema_path)
             dataset = load_dataset(cfg.continuous_path, cfg.categorical_path, schema)
 
-    with _stage("select-vars"):
-        report = varselect.select_variables(dataset, cfg.threshold)
-        report.save_csv(outdir / "anova.csv")
-
-    with _stage("renormalize"):
-        keep = report.selected_indices
-        if not keep:
-            raise ValueError(
-                f"no continuous variable reaches R2 >= {cfg.threshold}; nothing to cluster"
-            )
-        reduced = subset_continuous(dataset, keep)
-        save_dataset(reduced, outdir / "reduced_continuous.csv", outdir / "categorical.csv")
-
-    with _stage("split"):
-        train, test = split_dataset(reduced, cfg.test_count, cfg.seed)
+    report, train, test = screen(dataset, cfg.threshold, cfg.test_count, cfg.seed, outdir)
 
     with _stage("train"):
         som_cfg = som.SomConfig(
@@ -218,13 +257,13 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> dict:
         _save_allocations(result, outdir / "allocations.csv")
 
     with _stage("true-class"):
-        truth = allocation.true_classes(clustering, test.continuous)
+        truth = reference_classes(
+            clustering, outdir / "clustering.json", test.continuous, test.schema
+        )
         save_labels(truth, outdir / "test_true_labels.csv")
 
     with _stage("evaluate"):
-        table = allocation.build_contingency(result.assigned, truth, n_clusters)
-        table.save_csv(outdir / "contingency.csv")
-        summary = allocation.evaluate(table)
+        summary = score(result.assigned, truth, n_clusters, outdir / "contingency.csv")
 
     report_dict = {
         "version": 1,

@@ -102,6 +102,10 @@ class TwoLevelClustering:
         object.__setattr__(self, "macro_of_unit", read_only(macro))
 
     @property
+    def dimensions(self) -> tuple[str, ...]:
+        return self.level1.dimensions
+
+    @property
     def n_clusters(self) -> int:
         return int(self.macro_of_unit[-1]) + 1
 

@@ -86,18 +86,18 @@ class TestSubcommands:
         assert load_labels(data_dir / "true_labels.csv").shape == (1200,)
 
     def test_select_vars(self, data_dir, tmp_path):
-        out = tmp_path / "anova.csv"
         rc = main(
             [
                 "select-vars",
                 "--continuous", str(data_dir / "continuous.csv"),
                 "--categorical", str(data_dir / "categorical.csv"),
                 "--schema", str(data_dir / "schema.json"),
-                "--out", str(out),
+                "--test-count", "200",
+                "--outdir", str(tmp_path),
             ]
         )
         assert rc == 0
-        lines = out.read_text().strip().splitlines()
+        lines = (tmp_path / "anova.csv").read_text().strip().splitlines()
         assert len(lines) == 20  # header + 19 variables
 
     def test_train_direct_and_two_level(self, data_dir, tmp_path):
@@ -275,7 +275,8 @@ class TestSubcommands:
                 "--continuous", str(tmp_path / "nope.csv"),
                 "--categorical", str(tmp_path / "nope2.csv"),
                 "--schema", str(tmp_path / "schema.json"),
-                "--out", str(tmp_path / "out.csv"),
+                "--test-count", "200",
+                "--outdir", str(tmp_path / "out"),
             ]
         )
         assert rc == 2
@@ -316,8 +317,9 @@ class TestArtifactChecks:
         assert err.startswith(f"error [allocate] {newfile}: {expected}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["describe", "label"])
     def test_describe_refuses_clustering_of_other_variables(
-        self, data_dir, tmp_path, capsys
+        self, data_dir, tmp_path, capsys, command
     ):
         cb = tmp_path / "cb.json"
         rc = main(
@@ -347,19 +349,19 @@ class TestArtifactChecks:
             swapped.append(",".join(cells))
         continuous = tmp_path / "continuous.csv"
         continuous.write_text("\n".join(swapped) + "\n")
-        rc = main(
-            [
-                "describe",
-                "--continuous", str(continuous),
-                "--categorical", str(data_dir / "categorical.csv"),
-                "--schema", str(schema_path),
-                "--clustering", str(cb),
-                "--outdir", str(tmp_path / "desc"),
-            ]
-        )
+        out = tmp_path / "out"
+        inputs = ["--continuous", str(continuous), "--schema", str(schema_path),
+                  "--clustering", str(cb)]
+        argv = {
+            "describe": ["--categorical", str(data_dir / "categorical.csv"),
+                         "--outdir", str(out)],
+            "label": ["--out", str(out)],
+        }[command]
+        rc = main([command, *inputs, *argv])
         assert rc == 2
-        assert "clustering dimensions" in capsys.readouterr().err
-        assert not (tmp_path / "desc" / "cluster_stats.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}] {cb}: clustering dimensions ")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "artifact, key, command, damage",
@@ -545,6 +547,23 @@ class TestRunCommand:
         # the stage before the failure still left its artifact behind
         assert (outdir / "anova.csv").exists()
 
+    def test_select_vars_tags_the_failing_stage(self, data_dir, tmp_path, capsys):
+        outdir = tmp_path / "screened"
+        rc = main(
+            [
+                "select-vars",
+                "--continuous", str(data_dir / "continuous.csv"),
+                "--categorical", str(data_dir / "categorical.csv"),
+                "--schema", str(data_dir / "schema.json"),
+                "--threshold", "0.999999",
+                "--test-count", "200",
+                "--outdir", str(outdir),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error [renormalize] no continuous variable")
+        assert sorted(p.name for p in outdir.iterdir()) == ["anova.csv"]
+
     def test_unknown_config_key_rejected(self, data_dir, tmp_path):
         cfg = pipeline_config(data_dir, tmp_path / "run")
         cfg["typo_key"] = 1
@@ -556,7 +575,7 @@ class TestSeedValidation:
     """Every seed is a non-negative integer, and a bad one is named as the
     seed before any stage runs."""
 
-    @pytest.mark.parametrize("command", ["synth", "train", "allocate", "run"])
+    @pytest.mark.parametrize("command", ["synth", "select-vars", "train", "allocate", "run"])
     @pytest.mark.parametrize("seed", ["-1", "1.5"])
     def test_seed_option_refuses_negative_and_non_integer(
         self, data_dir, artifacts, tmp_path, capsys, command, seed
@@ -564,6 +583,9 @@ class TestSeedValidation:
         schema = ["--schema", str(data_dir / "schema.json")]
         args = {
             "synth": ["--outdir", str(tmp_path / "synth")],
+            "select-vars": ["--continuous", str(data_dir / "continuous.csv"),
+                            "--categorical", str(data_dir / "categorical.csv"), *schema,
+                            "--test-count", "200", "--outdir", str(tmp_path / "screened")],
             "train": ["--continuous", str(data_dir / "continuous.csv"), *schema,
                       "--units", "3", "--out", str(tmp_path / "clustering.json")],
             "allocate": ["--model", str(artifacts / "model.json"),
@@ -618,3 +640,59 @@ class TestPipelineDeterminism:
         run_pipeline(cfg)
         second = (outdir / "report.json").read_bytes()
         assert first == second
+
+
+class TestChainReproducesRun:
+    """The stage-by-stage chain writes the files ``run`` writes, byte for
+    byte, given the flags of ``run``'s config."""
+
+    @pytest.mark.parametrize(
+        "method, units, macro", [("c2", 5, None), ("c1", 20, 5)], ids=["c2-5", "c1-20-5"]
+    )
+    def test_chain_writes_runs_files(self, data_dir, tmp_path, method, units, macro):
+        run_dir, chain = tmp_path / "run", tmp_path / "chain"
+        cfg = pipeline_config(data_dir, run_dir, method=method, units=units)
+        if macro is not None:
+            cfg["macro_units"] = macro
+        report = run_pipeline(PipelineConfig.from_dict(cfg))
+        k = str(report["n_clusters"])
+        schema = ["--schema", str(chain / "reduced_schema.json")]
+        part = {name: str(chain / f"{name}.csv") for name in (
+            "train_continuous", "train_categorical", "test_continuous", "test_categorical")}
+        clustering = ["--clustering", str(chain / "clustering.json")]
+        steps = [
+            ["select-vars", "--continuous", cfg["continuous_path"],
+             "--categorical", cfg["categorical_path"], "--schema", cfg["schema_path"],
+             "--test-count", "200", "--seed", "7", "--outdir", str(chain)],
+            ["train", "--continuous", part["train_continuous"], *schema,
+             "--units", str(units), "--epochs", "6", "--seed", "7",
+             "--out", str(chain / "clustering.json")]
+            + ([] if macro is None else ["--macro-units", str(macro)]),
+            ["label", *clustering, "--continuous", part["train_continuous"], *schema,
+             "--out", str(chain / "train_labels.csv")],
+            ["describe", "--continuous", part["train_continuous"],
+             "--categorical", part["train_categorical"], *schema, *clustering,
+             "--outdir", str(chain)],
+            ["fit", "--categorical", part["train_categorical"], *schema,
+             "--labels", str(chain / "train_labels.csv"), "--classes", k,
+             "--out", str(chain / "model.json")],
+            ["allocate", "--model", str(chain / "model.json"),
+             "--categorical", part["test_categorical"], "--seed", "7",
+             "--out", str(chain / "allocations.csv")],
+            ["label", *clustering, "--continuous", part["test_continuous"], *schema,
+             "--out", str(chain / "test_true_labels.csv")],
+            ["evaluate", "--allocated", str(chain / "allocations.csv"),
+             "--truth", str(chain / "test_true_labels.csv"), "--classes", k,
+             "--out-table", str(chain / "contingency.csv"),
+             "--out-metrics", str(chain / "metrics.json")],
+        ]
+        for argv in steps:
+            assert main(argv) == 0, argv[0]
+        written = sorted(p.name for p in run_dir.iterdir())
+        assert sorted(p.name for p in chain.iterdir()) == sorted(
+            set(written) - {"report.json"} | {"metrics.json"}
+        )
+        for name in written:
+            if name != "report.json":
+                assert (chain / name).read_bytes() == (run_dir / name).read_bytes(), name
+        assert json.loads((chain / "metrics.json").read_text()) == report["evaluation"]
