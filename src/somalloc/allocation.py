@@ -19,7 +19,7 @@ import numpy as np
 from .dataset import MISSING_CODE, CategoricalTable, ContinuousTable, write_csv
 from .dataset import checked_labels, read_only
 from .logit import LogitModel, predict_proba_rows
-from .som import Codebook, TwoLevelClustering, cluster_labels
+from .som import TwoLevelClustering, cluster_labels
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,7 @@ def allocate(
     )
 
 
-def true_classes(
-    clustering: Codebook | TwoLevelClustering, data: ContinuousTable
-) -> np.ndarray:
+def true_classes(clustering: TwoLevelClustering, data: ContinuousTable) -> np.ndarray:
     """Reference class per continuous row: its nearest code-vector's cluster."""
     return cluster_labels(clustering, data)
 

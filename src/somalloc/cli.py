@@ -77,13 +77,9 @@ def _cmd_train(args) -> int:
     schema = Schema.load(args.schema)
     table = load_continuous(args.continuous, schema)
     cfg = som.SomConfig(units=args.units, epochs=args.epochs, seed=args.seed)
-    _, qe, _ = train_clustering(
-        table, schema.continuous_names, cfg, args.macro_units, args.out
-    )
-    note = f"{args.units} units"
-    if args.macro_units is not None:
-        note += f" -> {args.macro_units} macro clusters"
-    print(f"trained {note}; quantization error {qe:.6g}")
+    k2 = args.units if args.macro_units is None else args.macro_units
+    _, qe, _ = train_clustering(table, schema.continuous_names, cfg, k2, args.out)
+    print(f"trained {args.units} units -> {k2} macro clusters; quantization error {qe:.6g}")
     return 0
 
 
@@ -211,12 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=_cmd_select_vars)
 
-    p = sub.add_parser("train", help="train the 1-d map (optionally reduced to macro clusters)")
+    p = sub.add_parser("train", help="train the 1-d map and split it into macro clusters")
     p.add_argument("--continuous", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--units", type=int, required=True)
-    p.add_argument("--macro-units", type=int, default=None,
-                   help="split the string into this many contiguous macro clusters")
+    p.add_argument("--macro-units", type=int,
+                   help="split the string into this many contiguous macro clusters "
+                        "(default: --units, one per unit)")
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)

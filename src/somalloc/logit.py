@@ -285,6 +285,8 @@ def fit_logit(
     Non-convergence after the fallback is warned about, and the model is
     still returned with its diagnostics.
     """
+    if k < 2:
+        raise ValueError(f"k must be at least 2 classes, got {k!r}")
     codes = _codes(rows)
     design = encode_rows(codes, categorical_vars)
     labels = checked_labels(labels, design.shape[0], k)

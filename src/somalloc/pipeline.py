@@ -58,7 +58,9 @@ class PipelineConfig:
     seed: int
     test_count: int
     threshold: float = 0.08
-    method: str = "c2"  # "c1": big map reduced to macro clusters; "c2": direct map
+    # the string is split into contiguous macro clusters: "c1" into
+    # macro_units of them, "c2" into one per unit
+    method: str = "c2"
     units: int = 5
     macro_units: int = 5
     epochs: int = 10
@@ -76,6 +78,17 @@ class PipelineConfig:
             raise ValueError(f"method must be 'c1' or 'c2', got {self.method!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.n_clusters < 2:
+            field = "macro_units" if self.method == "c1" else "units"
+            raise ValueError(
+                f"{field} must be at least 2 for method {self.method!r}, "
+                f"got {self.n_clusters!r}"
+            )
+
+    @property
+    def n_clusters(self) -> int:
+        """The number of macro clusters the map's string is split into."""
+        return self.macro_units if self.method == "c1" else self.units
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
@@ -120,22 +133,19 @@ def train_clustering(
     table: ContinuousTable,
     dimensions: tuple[str, ...],
     cfg: som.SomConfig,
-    macro_units: int | None,
+    k2: int,
     path,
-) -> tuple[som.Codebook | som.TwoLevelClustering, float, np.ndarray]:
-    """Train the level-1 map, reduce it to ``macro_units`` macro clusters
-    when given, save the clustering to ``path`` and return it with the
-    level-1 quantization error and the cluster label of every row of
-    ``table``; the error, the hits and the labels share one distance pass."""
+) -> tuple[som.TwoLevelClustering, float, np.ndarray]:
+    """Train the level-1 map, split its string into ``k2`` macro clusters,
+    save the clustering to ``path`` and return it with the level-1
+    quantization error and the cluster label of every row of ``table``; the
+    error, the hits and the labels share one distance pass."""
     level1 = som.train_som(table, cfg, dimensions=dimensions)
     dist = som._masked_distances(table.values, table.observed, level1.code_vectors)
     best = dist.argmin(axis=1)
-    clustering, labels = level1, best
-    if macro_units is not None:
-        clustering = som.reduce_codebook(level1, macro_units, best)
-        labels = clustering.macro_of_unit[best]
+    clustering = som.reduce_codebook(level1, k2, best)
     som.save_clustering(clustering, path)
-    return clustering, float(dist.min(axis=1).mean()), labels
+    return clustering, float(dist.min(axis=1).mean()), clustering.macro_of_unit[best]
 
 
 def screen(
@@ -224,12 +234,11 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> dict:
             radius_end=cfg.radius_end,
             seed=cfg.seed,
         )
-        macro_units = cfg.macro_units if cfg.method == "c1" else None
         clustering, qe, labels_train = train_clustering(
             train.continuous,
             train.schema.continuous_names,
             som_cfg,
-            macro_units,
+            cfg.n_clusters,
             outdir / "clustering.json",
         )
         save_labels(labels_train, outdir / "train_labels.csv")
@@ -277,7 +286,9 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> dict:
         ],
         "n_clusters": n_clusters,
         "quantization_error": qe,
-        "macro_contiguous": None if macro_units is None else True,
+        # every split is contiguous, so this only names the method; it stays
+        # because perfbench checks it on c1 reports
+        "macro_contiguous": True if cfg.method == "c1" else None,
         "fit": model.diagnostics.to_dict(),
         "evaluation": summary.to_dict(),
     }

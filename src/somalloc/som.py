@@ -2,9 +2,10 @@
 
 Units live on a string: unit i neighbors i-1 and i+1.  Matching and updates
 use only the observed components of a row, so incomplete rows train and
-assign without imputation.  A large map can be reduced to a few macro
-clusters by Fisher's exact split of its string into contiguous runs of
-units, numbered along the string.
+assign without imputation.  A clustering is a trained map whose string
+Fisher's exact split cuts into contiguous runs of units, the macro
+clusters, numbered along the string; with one run per unit, the map's
+units are the clusters.
 """
 
 from __future__ import annotations
@@ -76,14 +77,10 @@ class Codebook:
     def units(self) -> int:
         return self.code_vectors.shape[0]
 
-    @property
-    def n_clusters(self) -> int:
-        return self.units
-
 
 @dataclass(frozen=True)
 class TwoLevelClustering:
-    """A large map whose string is split into contiguous macro clusters.
+    """A trained map whose string is split into contiguous macro clusters.
 
     macro_of_unit maps every level-1 unit to its macro cluster, numbered
     along the string, so cluster i neighbours clusters i-1 and i+1.
@@ -258,50 +255,34 @@ def reduce_codebook(level1: Codebook, k2: int, best_units) -> TwoLevelClustering
     return TwoLevelClustering(level1, macro)
 
 
-def cluster_labels(
-    clustering: Codebook | TwoLevelClustering, data: ContinuousTable
-) -> np.ndarray:
+def cluster_labels(clustering: TwoLevelClustering, data: ContinuousTable) -> np.ndarray:
     """Cluster index per row, vectorized over the table."""
-    if isinstance(clustering, TwoLevelClustering):
-        return clustering.macro_of_unit[assign_all(clustering.level1, data)]
-    return assign_all(clustering, data)
+    return clustering.macro_of_unit[assign_all(clustering.level1, data)]
 
 
-def clustering_to_dict(clustering: Codebook | TwoLevelClustering) -> dict:
-    if isinstance(clustering, TwoLevelClustering):
-        return {
-            "version": 2,
-            "kind": "two_level",
-            "dimensions": list(clustering.level1.dimensions),
-            "level1_code_vectors": clustering.level1.code_vectors.tolist(),
-            "macro_of_unit": clustering.macro_of_unit.tolist(),
-        }
+def clustering_to_dict(clustering: TwoLevelClustering) -> dict:
     return {
-        "version": 2,
-        "kind": "codebook",
+        "version": 3,
         "dimensions": list(clustering.dimensions),
-        "code_vectors": clustering.code_vectors.tolist(),
+        "level1_code_vectors": clustering.level1.code_vectors.tolist(),
+        "macro_of_unit": clustering.macro_of_unit.tolist(),
     }
 
 
-def clustering_from_dict(d: dict) -> Codebook | TwoLevelClustering:
+def clustering_from_dict(d: dict) -> TwoLevelClustering:
     version = json_field(d, "version", int)
-    if version != 2:
-        raise ValueError(f"unsupported clustering version {version!r}")
+    if version != 3:
+        raise ValueError(f"unsupported clustering version {version}: expected 3")
     dims = tuple(json_field(d, "dimensions", [str]))
-    if d["kind"] == "codebook":
-        return Codebook(json_field(d, "code_vectors", [[float]]), dims)
-    if d["kind"] == "two_level":
-        return TwoLevelClustering(
-            level1=Codebook(json_field(d, "level1_code_vectors", [[float]]), dims),
-            macro_of_unit=json_field(d, "macro_of_unit", [int]),
-        )
-    raise ValueError(f"unknown clustering kind {d['kind']!r}")
+    return TwoLevelClustering(
+        level1=Codebook(json_field(d, "level1_code_vectors", [[float]]), dims),
+        macro_of_unit=json_field(d, "macro_of_unit", [int]),
+    )
 
 
-def save_clustering(clustering: Codebook | TwoLevelClustering, path) -> None:
+def save_clustering(clustering: TwoLevelClustering, path) -> None:
     write_json(path, clustering_to_dict(clustering))
 
 
-def load_clustering(path) -> Codebook | TwoLevelClustering:
+def load_clustering(path) -> TwoLevelClustering:
     return read_json(path, clustering_from_dict)

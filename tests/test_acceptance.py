@@ -234,13 +234,13 @@ class TestCriterion7EndToEnd:
             cb = som.train_som(
                 train.continuous, scfg, dimensions=train.schema.continuous_names
             )
-            labels_train = som.cluster_labels(cb, train.continuous)
+            labels_train = som.assign_all(cb, train.continuous)
             shuffled = np.random.default_rng(seed + 10_000).permutation(labels_train)
             base_model = logit.fit_logit(
                 train.categorical, shuffled, 5, train.schema.categorical_vars
             )
             base_alloc = allocation.allocate(base_model, test.categorical)
-            truth = allocation.true_classes(cb, test.continuous)
+            truth = som.assign_all(cb, test.continuous)
             baseline = evaluate(
                 build_contingency(base_alloc.assigned, truth, 5)
             ).correct_rate

@@ -13,7 +13,14 @@ from somalloc.allocation import (
 )
 from somalloc.dataset import ContinuousTable
 from somalloc.logit import FitDiagnostics, LogitModel
-from somalloc.som import Codebook, SomConfig, assign_all, reduce_codebook, train_som
+from somalloc.som import (
+    Codebook,
+    SomConfig,
+    TwoLevelClustering,
+    assign_all,
+    reduce_codebook,
+    train_som,
+)
 from somalloc.synth import GeneratorSpec, generate
 
 # regression fixtures: five-cluster allocation-vs-reference tables,
@@ -152,14 +159,16 @@ class TestTrueClass:
         x = rng.uniform(-1, 5, size=(20, 2))
         expect = [np.argmin(((cb.code_vectors - row) ** 2).sum(axis=1)) for row in x]
         data = ContinuousTable(x, np.ones_like(x, dtype=bool))
-        assert_array_equal(true_classes(cb, data), expect)
+        one_run_per_unit = TwoLevelClustering(cb, np.arange(2))
+        assert_array_equal(true_classes(one_run_per_unit, data), expect)
 
     def test_recovers_planted_clusters_on_generator_data(self):
         spec = GeneratorSpec.survey_shaped(seed=29, n=3000)
         dataset, planted = generate(spec)
         cfg = SomConfig(units=5, epochs=10, seed=29)
         cb = train_som(dataset.continuous, cfg)
-        truth = true_classes(cb, dataset.continuous)
+        clustering = reduce_codebook(cb, 5, assign_all(cb, dataset.continuous))
+        truth = true_classes(clustering, dataset.continuous)
         # map each planted cluster to its dominant recovered label
         agree = 0
         for c in range(5):

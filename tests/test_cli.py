@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from somalloc.cli import main
 from somalloc.dataset import Schema, load_labels
-from somalloc.pipeline import PipelineConfig, run_pipeline
+from somalloc.pipeline import PipelineConfig, StageError, run_pipeline
 from somalloc.som import load_clustering
 
 
@@ -34,8 +35,8 @@ def data_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def artifacts(data_dir, tmp_path_factory):
-    """A valid schema, clustering (plain and two-level), model and run
-    config in one directory."""
+    """A valid schema, two clusterings (one run per unit, and 6 units split
+    into 2 runs), a model and a run config in one directory."""
     out = tmp_path_factory.mktemp("artifacts")
     shutil.copy(data_dir / "schema.json", out / "schema.json")
     schema = ["--schema", str(out / "schema.json")]
@@ -369,7 +370,7 @@ class TestArtifactChecks:
             (artifact, key, command, damage)
             for artifact, key, command in [
                 ("schema", "categorical", "describe"),
-                ("clustering", "code_vectors", "describe"),
+                ("clustering", "level1_code_vectors", "describe"),
                 ("model", "beta", "allocate"),
                 ("config", "seed", "run"),
             ]
@@ -389,7 +390,9 @@ class TestArtifactChecks:
             ("model", "diagnostics", "allocate", "iterations-not-an-integer"),
             ("model", "encoding", "allocate", "modality-list-as-string"),
             ("schema", "continuous", "describe", "list-as-string"),
-            ("clustering", "code_vectors", "describe", "numbers-as-strings"),
+            ("clustering", "level1_code_vectors", "describe", "numbers-as-strings"),
+            ("clustering", "version", "describe", "version-2"),
+            ("config", "units", "run", "one-cluster"),
             ("model", "beta", "allocate", "numbers-as-strings"),
             ("config", "units", "run", "number-as-string"),
             ("config", "test_count", "run", "fractional"),
@@ -421,6 +424,12 @@ class TestArtifactChecks:
                 obj[key] = [0] * (len(obj[key]) - 1) + [2]
             elif damage == "version-1":
                 # the format that stored a second map and a contiguity flag
+                obj[key] = 1
+            elif damage == "version-2":
+                # the format with a "kind" field, whose plain map stored no runs
+                obj[key] = 2
+            elif damage == "one-cluster":
+                # well typed, but a run needs at least 2 clusters
                 obj[key] = 1
             elif damage == "converged-not-a-boolean":
                 obj[key]["converged"] = "false"
@@ -647,13 +656,14 @@ class TestChainReproducesRun:
     byte, given the flags of ``run``'s config."""
 
     @pytest.mark.parametrize(
-        "method, units, macro", [("c2", 5, None), ("c1", 20, 5)], ids=["c2-5", "c1-20-5"]
+        "method, units, train_flags",
+        # c2's train leaves --macro-units at its default, --units
+        [("c2", 5, []), ("c1", 20, ["--macro-units", "5"])],
+        ids=["c2-5", "c1-20-5"],
     )
-    def test_chain_writes_runs_files(self, data_dir, tmp_path, method, units, macro):
+    def test_chain_writes_runs_files(self, data_dir, tmp_path, method, units, train_flags):
         run_dir, chain = tmp_path / "run", tmp_path / "chain"
-        cfg = pipeline_config(data_dir, run_dir, method=method, units=units)
-        if macro is not None:
-            cfg["macro_units"] = macro
+        cfg = pipeline_config(data_dir, run_dir, method=method, units=units, macro_units=5)
         report = run_pipeline(PipelineConfig.from_dict(cfg))
         k = str(report["n_clusters"])
         schema = ["--schema", str(chain / "reduced_schema.json")]
@@ -666,8 +676,7 @@ class TestChainReproducesRun:
              "--test-count", "200", "--seed", "7", "--outdir", str(chain)],
             ["train", "--continuous", part["train_continuous"], *schema,
              "--units", str(units), "--epochs", "6", "--seed", "7",
-             "--out", str(chain / "clustering.json")]
-            + ([] if macro is None else ["--macro-units", str(macro)]),
+             "--out", str(chain / "clustering.json"), *train_flags],
             ["label", *clustering, "--continuous", part["train_continuous"], *schema,
              "--out", str(chain / "train_labels.csv")],
             ["describe", "--continuous", part["train_continuous"],
@@ -696,3 +705,73 @@ class TestChainReproducesRun:
             if name != "report.json":
                 assert (chain / name).read_bytes() == (run_dir / name).read_bytes(), name
         assert json.loads((chain / "metrics.json").read_text()) == report["evaluation"]
+
+
+class TestOneRunPerUnit:
+    """``c2`` splits its map's string into one run per unit: the same split
+    as ``c1``, so a unit without training rows is refused at ``train``."""
+
+    @pytest.fixture(scope="class")
+    def few_rows(self, tmp_path_factory):
+        """60 rows, of which 40 train: too few to give each of 20 units a hit."""
+        outdir = tmp_path_factory.mktemp("few")
+        assert main(["synth", "--outdir", str(outdir), "--seed", "42", "--n", "60"]) == 0
+        return outdir
+
+    @pytest.mark.parametrize("entry", ["run_pipeline", "cli"])
+    def test_dead_unit_is_refused_at_train(self, few_rows, tmp_path, capsys, entry):
+        outdir = tmp_path / "run"
+        cfg = pipeline_config(few_rows, outdir, test_count=20, units=20)
+        message = (
+            r"cannot split the string into 20 macro clusters: "
+            r"1?\d of its 20 units have training hits"
+        )
+        if entry == "run_pipeline":
+            with pytest.raises(StageError, match=rf"^\[train\] {message}$") as exc:
+                run_pipeline(PipelineConfig.from_dict(cfg))
+            assert exc.value.stage == "train"
+        else:
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(cfg))
+            assert main(["run", "--config", str(cfg_path)]) == 2
+            assert re.fullmatch(rf"error \[train\] {message}\n", capsys.readouterr().err)
+        assert not (outdir / "clustering.json").exists()
+
+    def test_clustering_json_holds_one_run_per_unit(self, data_dir, tmp_path):
+        report = run_pipeline(PipelineConfig.from_dict(pipeline_config(data_dir, tmp_path)))
+        saved = json.loads((tmp_path / "clustering.json").read_text())
+        assert sorted(saved) == ["dimensions", "level1_code_vectors", "macro_of_unit", "version"]
+        assert saved["version"] == 3
+        assert saved["macro_of_unit"] == list(range(5))
+        assert report["n_clusters"] == 5
+        assert report["macro_contiguous"] is None
+
+    @pytest.mark.parametrize(
+        "method, field, value",
+        [("c2", "units", 1), ("c2", "units", 0), ("c1", "macro_units", 1)],
+    )
+    def test_config_refuses_fewer_than_two_clusters(
+        self, data_dir, tmp_path, capsys, method, field, value
+    ):
+        cfg_path, outdir = tmp_path / "config.json", tmp_path / "run"
+        cfg = pipeline_config(data_dir, outdir, method=method)
+        cfg[field] = value
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error [run] {cfg_path}: {field} must be at least 2 for method "
+            f"{method!r}, got {value}\n"
+        )
+        assert not outdir.exists()
+
+    def test_fit_refuses_fewer_than_two_classes(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        rc = main(
+            ["fit", "--categorical", str(data_dir / "categorical.csv"),
+             "--schema", str(data_dir / "schema.json"),
+             "--labels", str(data_dir / "true_labels.csv"), "--classes", "1",
+             "--out", str(out)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error [fit] k must be at least 2 classes, got 1\n"
+        assert not out.exists()

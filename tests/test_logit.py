@@ -216,6 +216,12 @@ class TestFit:
         ):
             call(rows, labels)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_fewer_than_two_classes_rejected(self, k):
+        rows = np.array([[0], [1], [0]])
+        with pytest.raises(ValueError, match=f"^k must be at least 2 classes, got {k}$"):
+            fit_logit(rows, np.zeros(3, dtype=int), k, binary_spec())
+
     def test_class_absent_from_labels_rejected(self):
         rows = np.array([[0], [1], [0]])
         with pytest.raises(ValueError, match="absent"):

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -391,6 +391,34 @@ class TestReduction:
         assert abs(direct_split_cost(vectors, hits, two.macro_of_unit) - least) <= 1e-12
         assert_array_equal(two.macro_of_unit, labels)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_reversed_string_gives_the_mirrored_split(self, data):
+        """Reversing the code-vectors and mirroring the hits mirrors the
+        partition, renumbered along the reversed string."""
+        m, p = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 3))
+        coordinate = st.floats(-100.0, 100.0, allow_subnormal=False)
+        vectors = np.reshape(
+            data.draw(st.lists(coordinate, min_size=m * p, max_size=m * p)), (m, p)
+        )
+        hits = np.array(data.draw(st.lists(st.integers(1, 5), min_size=m, max_size=m)))
+        k2 = data.draw(st.integers(1, m))
+        # no two splits may tie, or the tie-break (earliest split point)
+        # would not be mirrored; the margin covers the prefix sums' rounding
+        costs = sorted(
+            direct_split_cost(vectors, hits, np.searchsorted(starts, np.arange(m), "right"))
+            for starts in map(list, itertools.combinations(range(1, m), k2 - 1))
+        )
+        scale = float((hits[:, None] * vectors**2).sum())
+        assume(len(costs) == 1 or costs[1] - costs[0] > 1e-8 * max(1.0, scale))
+        dims = tuple(f"d{j}" for j in range(p))
+        units = np.arange(m)
+        forward = reduce_codebook(Codebook(vectors, dims), k2, np.repeat(units, hits))
+        backward = reduce_codebook(
+            Codebook(vectors[::-1], dims), k2, np.repeat(units, hits[::-1])
+        )
+        assert_array_equal(backward.macro_of_unit, k2 - 1 - forward.macro_of_unit[::-1])
+
     def test_one_macro_cluster_is_the_whole_string(self):
         level1 = Codebook(np.arange(5, dtype=float)[:, None], ("a",))
         two = reduce_codebook(level1, 1, np.array([1, 1, 3]))
@@ -469,25 +497,30 @@ class TestClusterOf:
         labels = cluster_labels(two, table(level1.code_vectors))
         assert_array_equal(labels, two.macro_of_unit)
 
-    def test_plain_codebook_is_assign(self):
+    def test_one_run_per_unit_is_assign(self):
         cb = Codebook(np.array([[0.0], [5.0]]), ("a",))
         data = table([[4.0], [1.0]])
-        assert_array_equal(cluster_labels(cb, data), assign_all(cb, data))
+        two = reduce_codebook(cb, 2, assign_all(cb, data))
+        assert_array_equal(two.macro_of_unit, [0, 1])
+        assert_array_equal(cluster_labels(two, data), assign_all(cb, data))
 
     def test_direct_five_unit_labels_in_range(self):
         data, _ = scalar_clusters(seed=41, n=200)
         cb = train_som(data, SomConfig(units=5, epochs=8, seed=41))
-        labels = cluster_labels(cb, data)
+        labels = cluster_labels(reduce_codebook(cb, 5, assign_all(cb, data)), data)
         assert set(np.unique(labels)) <= set(range(5))
 
 
 class TestSerialization:
-    def test_codebook_round_trip(self):
+    def test_one_run_per_unit_round_trip(self):
         cb = Codebook(np.array([[1.5, 2.5], [3.5, 4.5]]), ("a", "b"))
-        again = clustering_from_dict(clustering_to_dict(cb))
-        assert isinstance(again, Codebook)
-        assert_array_equal(again.code_vectors, cb.code_vectors)
+        d = clustering_to_dict(TwoLevelClustering(cb, np.arange(2)))
+        assert sorted(d) == ["dimensions", "level1_code_vectors", "macro_of_unit", "version"]
+        assert d["version"] == 3
+        again = clustering_from_dict(d)
+        assert_array_equal(again.level1.code_vectors, cb.code_vectors)
         assert again.dimensions == cb.dimensions
+        assert_array_equal(again.macro_of_unit, [0, 1])
 
     def test_two_level_round_trip(self):
         data, _ = scalar_clusters(seed=51, n=300)
@@ -499,43 +532,34 @@ class TestSerialization:
         assert_array_equal(again.macro_of_unit, two.macro_of_unit)
         assert_array_equal(again.level1.code_vectors, two.level1.code_vectors)
 
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ValueError, match="version"):
-            clustering_from_dict({"version": 99, "kind": "codebook"})
+    @pytest.mark.parametrize("version", [1, 2, 99])
+    def test_unknown_version_rejected(self, version):
+        # versions 1 and 2 stored a "kind" and, for a plain map, "code_vectors"
+        old = {"version": version, "kind": "codebook", "dimensions": ["a"],
+               "code_vectors": [[0.0]]}
+        with pytest.raises(ValueError, match=f"^unsupported clustering version {version}:"):
+            clustering_from_dict(old)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_saved_clustering_loads_bit_identical(self, tmp_path_factory, data):
-        """Both kinds come back from clustering.json with the same bits,
+        """A clustering comes back from clustering.json with the same bits,
         -0.0, subnormals and the largest doubles included."""
         p = data.draw(st.integers(1, 4))
+        units = data.draw(st.integers(1, 6))
         number = st.one_of(
             st.floats(allow_nan=False, allow_infinity=False),
             st.sampled_from([-0.0, 5e-324, -1.7976931348623157e308]),
         )
-
-        def codebook(units):
-            values = data.draw(st.lists(number, min_size=units * p, max_size=units * p))
-            return Codebook(np.reshape(values, (units, p)), dims)
-
+        values = data.draw(st.lists(number, min_size=units * p, max_size=units * p))
         dims = tuple(data.draw(st.lists(st.text(max_size=4), min_size=p, max_size=p)))
-        level1 = codebook(data.draw(st.integers(1, 6)))
-        clustering = level1
-        if data.draw(st.booleans()):
-            # macro clusters numbered along the string: steps of 0 or 1
-            steps = data.draw(st.lists(
-                st.integers(0, 1), min_size=level1.units - 1, max_size=level1.units - 1
-            ))
-            clustering = TwoLevelClustering(level1, np.cumsum([0] + steps))
+        level1 = Codebook(np.reshape(values, (units, p)), dims)
+        # macro clusters numbered along the string: steps of 0 or 1
+        steps = data.draw(st.lists(st.integers(0, 1), min_size=units - 1, max_size=units - 1))
+        clustering = TwoLevelClustering(level1, np.cumsum([0] + steps))
         path = tmp_path_factory.mktemp("clustering") / "clustering.json"
         som.save_clustering(clustering, path)
         again = som.load_clustering(path)
-        assert type(again) is type(clustering)
-        if isinstance(clustering, TwoLevelClustering):
-            assert_array_equal(again.macro_of_unit, clustering.macro_of_unit)
-            pairs = [(again.level1, clustering.level1)]
-        else:
-            pairs = [(again, clustering)]
-        for got, want in pairs:
-            assert got.dimensions == want.dimensions
-            assert got.code_vectors.tobytes() == want.code_vectors.tobytes()
+        assert_array_equal(again.macro_of_unit, clustering.macro_of_unit)
+        assert again.dimensions == clustering.dimensions
+        assert again.level1.code_vectors.tobytes() == level1.code_vectors.tobytes()
