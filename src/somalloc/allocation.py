@@ -17,16 +17,17 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import MISSING_CODE, CategoricalTable, ContinuousTable, write_csv
-from .dataset import checked_labels, read_only
+from .dataset import checked_codes, checked_labels, read_only
 from .logit import LogitModel, predict_proba_rows
 from .som import TwoLevelClustering, cluster_labels
+
+MODES = ("argmax", "sample")
 
 
 @dataclass(frozen=True)
 class AllocationResult:
     probabilities: np.ndarray
     assigned: np.ndarray
-    mode: str
     missing_counts: np.ndarray
 
     def __post_init__(self):
@@ -56,9 +57,9 @@ def allocate(
     uniform of row i taken from a counter-based (Philox) stream keyed on
     ``seed``, so it depends only on (seed, i).
     """
-    if mode not in ("argmax", "sample"):
+    if mode not in MODES:
         raise ValueError(f"unknown allocation mode {mode!r}")
-    codes = rows.codes if isinstance(rows, CategoricalTable) else np.asarray(rows)
+    codes = checked_codes(rows, m.categorical_vars, allow_missing=True)
     probs = predict_proba_rows(m, codes)
     if mode == "argmax":
         assigned = np.argmax(probs, axis=1)
@@ -67,9 +68,7 @@ def allocate(
         below = np.cumsum(probs, axis=1) <= u[:, None]
         assigned = np.minimum(below.sum(axis=1), m.k - 1)
     missing = (codes == MISSING_CODE).sum(axis=1)
-    return AllocationResult(
-        probabilities=probs, assigned=assigned, mode=mode, missing_counts=missing
-    )
+    return AllocationResult(probabilities=probs, assigned=assigned, missing_counts=missing)
 
 
 def true_classes(clustering: TwoLevelClustering, data: ContinuousTable) -> np.ndarray:

@@ -74,10 +74,13 @@ def _cmd_select_vars(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    k2 = args.units if args.macro_units is None else args.macro_units
+    for flag, value in (("--units", args.units), ("--macro-units", k2)):
+        if value < 2:
+            raise ValueError(f"{flag} must be at least 2, got {value}")
     schema = Schema.load(args.schema)
     table = load_continuous(args.continuous, schema)
     cfg = som.SomConfig(units=args.units, epochs=args.epochs, seed=args.seed)
-    k2 = args.units if args.macro_units is None else args.macro_units
     _, qe, _ = train_clustering(table, schema.continuous_names, cfg, k2, args.out)
     print(f"trained {args.units} units -> {k2} macro clusters; quantization error {qe:.6g}")
     return 0
@@ -249,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--categorical", required=True,
                    help="new individuals, read against the model's variables and modalities")
-    p.add_argument("--mode", choices=["argmax", "sample"], default="argmax")
+    p.add_argument("--mode", choices=allocation.MODES, default="argmax")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_allocate)

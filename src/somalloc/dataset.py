@@ -50,6 +50,31 @@ def checked_labels(labels, n_rows: int, k: int) -> np.ndarray:
     return labels.astype(np.int64, copy=False)
 
 
+def checked_codes(rows, categorical_vars, allow_missing: bool) -> np.ndarray:
+    """The codes of ``rows``, a CategoricalTable or an array, as int64, after
+    checking one integer code per variable of the ``(name, modalities)``
+    layout, each in [0, m_j) or, with ``allow_missing``, MISSING_CODE.  The
+    first bad cell in row-major order is named, its row 1-based."""
+    codes = rows.codes if isinstance(rows, CategoricalTable) else np.asarray(rows)
+    if codes.size and codes.dtype.kind not in "iu":
+        raise DataError(f"codes must be integers, got {codes.dtype} values")
+    if codes.ndim != 2 or codes.shape[1] != len(categorical_vars):
+        raise DataError(f"codes of shape {codes.shape}: need one column per variable")
+    counts = np.array([len(mods) for _, mods in categorical_vars])
+    low = MISSING_CODE if allow_missing else 0
+    # one reduction and one comparison when every code is valid; the bad
+    # cell is searched for only after
+    if codes.size and (codes.min() < low or (codes >= counts).any()):
+        row, col = np.argwhere((codes < low) | (codes >= counts))[0]
+        what = (
+            "missing categorical value (not allowed in the learning base)"
+            if codes[row, col] == MISSING_CODE
+            else f"code {codes[row, col]} is not in [0, {counts[col]})"
+        )
+        raise DataError(f"row {row + 1}, variable {categorical_vars[col][0]!r}: {what}")
+    return codes.astype(np.int64, copy=False)
+
+
 def checked_layout(categorical_vars) -> tuple[tuple[str, tuple[str, ...]], ...]:
     """The ``(name, modalities)`` layout as tuples, after checking that every
     variable has at least two distinct labels that read back from a CSV
@@ -210,10 +235,6 @@ class CategoricalTable:
     def n_rows(self) -> int:
         return self.codes.shape[0]
 
-    @property
-    def n_cols(self) -> int:
-        return self.codes.shape[1]
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -231,22 +252,7 @@ class Dataset:
             )
         if self.continuous.n_cols != self.schema.p:
             raise DataError("continuous column count does not match schema")
-        if self.categorical.n_cols != self.schema.l:
-            raise DataError("categorical column count does not match schema")
-        codes = self.categorical.codes
-        if codes.size:
-            if codes.min() < 0:
-                row, col = np.argwhere(codes < 0)[0]
-                name = self.schema.categorical_names[col]
-                raise DataError(
-                    f"row {row + 1}, column {name!r}: missing categorical value "
-                    "(not allowed in the learning base)"
-                )
-            counts = np.asarray(self.schema.modality_counts)
-            if (codes >= counts[None, :]).any():
-                row, col = np.argwhere(codes >= counts[None, :])[0]
-                name = self.schema.categorical_names[col]
-                raise DataError(f"row {row + 1}, column {name!r}: modality code out of range")
+        checked_codes(self.categorical, self.schema.categorical_vars, allow_missing=False)
         if self.schema.compositional and self.continuous.n_rows:
             full = self.continuous.observed.all(axis=1)
             sums = self.continuous.values[full].sum(axis=1)
@@ -470,10 +476,11 @@ def save_continuous(table: ContinuousTable, schema: Schema, path) -> None:
 
 def save_categorical(table: CategoricalTable, schema: Schema, path) -> None:
     columns = []
-    for codes, (_, mods) in zip(table.codes.T, schema.categorical_vars):
+    codes = checked_codes(table, schema.categorical_vars, allow_missing=True)
+    for column, (_, mods) in zip(codes.T, schema.categorical_vars):
         # code c writes fields[c + 1], so MISSING_CODE writes ""
         fields = [""] + list(map(csv_field, mods))
-        columns.append(list(map(fields.__getitem__, (codes + 1).tolist())))
+        columns.append(list(map(fields.__getitem__, (column + 1).tolist())))
     write_csv(path, schema.categorical_names, map(",".join, zip(*columns)))
 
 

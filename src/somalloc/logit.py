@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import MISSING_CODE, CategoricalTable, read_json, write_json
-from .dataset import checked_labels, checked_layout, json_field, read_only
+from .dataset import CategoricalTable, read_json, write_json
+from .dataset import checked_codes, checked_labels, checked_layout, json_field, read_only
 
 SEPARATION_COEF_LIMIT = 30.0
 _BLOCK_ROWS = 256  # rows per block of the Hessian accumulation
@@ -26,35 +26,20 @@ def design_width(categorical_vars) -> int:
     return 1 + sum(len(mods) - 1 for _, mods in categorical_vars)
 
 
-def _codes(rows: CategoricalTable | np.ndarray) -> np.ndarray:
-    """The codes of ``rows`` as int64."""
-    codes = rows.codes if isinstance(rows, CategoricalTable) else np.asarray(rows)
-    return codes.astype(np.int64, copy=False)
-
-
 def encode_rows(rows: CategoricalTable | np.ndarray, categorical_vars) -> np.ndarray:
     """(N, d) design matrix over the ``(name, modalities)`` layout.
 
     An intercept column, then per variable indicators for every modality
-    except the last (the reference); the reference modality and missing
-    cells both encode as an all-zero block, so an unknown cell contributes
-    nothing to any score.
+    except the last (the reference).  The reference modality and a blank
+    cell (MISSING_CODE, allowed here) both encode as an all-zero block, so
+    a blank cell scores exactly as the reference modality would.
     """
-    codes = _codes(rows)
-    if codes.ndim != 2 or codes.shape[1] != len(categorical_vars):
-        raise ValueError("rows must be N x l with one column per variable")
+    codes = checked_codes(rows, categorical_vars, allow_missing=True)
     design = np.zeros((codes.shape[0], design_width(categorical_vars)))
     design[:, 0] = 1.0
     offset = 1
-    for j, (name, mods) in enumerate(categorical_vars):
+    for j, (_, mods) in enumerate(categorical_vars):
         col = codes[:, j]
-        bad = (col != MISSING_CODE) & ((col < 0) | (col >= len(mods)))
-        if bad.any():
-            row = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"row {row + 1}, variable {name!r}: "
-                f"modality index {col[row]} out of range"
-            )
         for mod in range(len(mods) - 1):
             design[:, offset + mod] = col == mod
         offset += len(mods) - 1
@@ -275,21 +260,24 @@ def fit_logit(
 ) -> LogitModel:
     """Maximum-likelihood fit from a zero start.
 
-    Rows with the same codes share one design row, weighted by its per-class
-    label counts, so Newton works on the distinct patterns only; the sums
-    are the same up to their order.
+    Rows, blanks refused, with the same codes share one design row weighted
+    by its per-class label counts, so only the distinct patterns are encoded
+    and Newton works on them alone; the sums are the same up to their order.
 
     The first pass is unpenalized; a singular Hessian, a stalled line
     search or coefficients running past +-30 (quasi-separation) trigger one
     refit with the L2 penalty ``ridge``, recorded in the diagnostics.
     Non-convergence after the fallback is warned about, and the model is
-    still returned with its diagnostics.
+    still returned with its diagnostics.  A negative ``tol``, ``max_iter``
+    or ``ridge`` is refused.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2 classes, got {k!r}")
-    codes = _codes(rows)
-    design = encode_rows(codes, categorical_vars)
-    labels = checked_labels(labels, design.shape[0], k)
+    for field, value in (("tol", tol), ("max_iter", max_iter), ("ridge", ridge)):
+        if not value >= 0:
+            raise ValueError(f"{field} must be non-negative, got {value!r}")
+    codes = checked_codes(rows, categorical_vars, allow_missing=False)
+    labels = checked_labels(labels, codes.shape[0], k)
     if labels.size == 0:
         raise ValueError("no rows to fit")
     present = np.bincount(labels, minlength=k) > 0
@@ -297,7 +285,7 @@ def fit_logit(
         missing = np.flatnonzero(~present)
         raise ValueError(f"classes absent from labels: {missing.tolist()}")
     first, counts = _pattern_counts(codes, labels, k)
-    design = design[first]
+    design = encode_rows(codes[first], categorical_vars)
     fit = _newton(design, counts, categorical_vars, tol, max_iter, 0.0)
     if fit is None:
         if ridge <= 0.0:

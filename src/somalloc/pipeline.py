@@ -76,6 +76,11 @@ class PipelineConfig:
     def __post_init__(self):
         if self.method not in ("c1", "c2"):
             raise ValueError(f"method must be 'c1' or 'c2', got {self.method!r}")
+        if self.allocation_mode not in allocation.MODES:
+            raise ValueError(
+                f"allocation_mode must be one of {list(allocation.MODES)}, "
+                f"got {self.allocation_mode!r}"
+            )
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.n_clusters < 2:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CategoricalTable, DataError, Dataset, Schema, checked_labels
+from .dataset import CategoricalTable, Dataset, Schema, checked_codes, checked_labels
 from .dataset import csv_field, format_float, write_csv
 
 
@@ -36,20 +36,16 @@ class ClusterProfile:
 
 
 def _modality_pcts(
-    codes: np.ndarray, labels: np.ndarray, k: int, counts: tuple[int, ...]
+    codes: np.ndarray, labels: np.ndarray, k: int, categorical_vars
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per variable, the (k, m_j) within-cluster shares and the (m_j,)
-    population shares, in percent; NaN for an empty cluster or population.
-    A code outside [0, m_j), the missing-cell code included, is refused."""
+    """Per variable of the layout, the (k, m_j) within-cluster shares and
+    the (m_j,) population shares, in percent, of codes already checked to
+    lie in [0, m_j); NaN for an empty cluster or population."""
     n = codes.shape[0]
     within, glob = [], []
     sizes = np.bincount(labels, minlength=k)[:, None]
-    for j, m in enumerate(counts):
-        bad = np.flatnonzero((codes[:, j] < 0) | (codes[:, j] >= m))
-        if bad.size:
-            i = bad[0]
-            raise DataError(f"row {i}, variable {j}: code {codes[i, j]} is not in [0, {m})")
-        tally = np.zeros((k, m))
+    for j, (_, mods) in enumerate(categorical_vars):
+        tally = np.zeros((k, len(mods)))
         np.add.at(tally, (labels, codes[:, j]), 1.0)
         with np.errstate(invalid="ignore"):
             within.append(100.0 * tally / sizes)
@@ -65,20 +61,20 @@ def _test_value(within: np.ndarray, glob: np.ndarray) -> np.ndarray:
 
 
 def test_values(
-    categorical: CategoricalTable,
+    categorical: CategoricalTable | np.ndarray,
     labels: np.ndarray,
     k: int,
-    modality_counts: tuple[int, ...],
+    categorical_vars,
 ) -> list[np.ndarray]:
     """Per variable, a (k, m_j) table of within-share / global-share ratios
-    over the declared ``modality_counts``.
+    over the ``(name, modalities)`` layout's modalities; a blank is refused.
 
     Undefined entries (empty cluster, or modality absent globally) are NaN
     rather than 0/0.
     """
-    codes = categorical.codes
+    codes = checked_codes(categorical, categorical_vars, allow_missing=False)
     labels = checked_labels(labels, codes.shape[0], k)
-    within, glob = _modality_pcts(codes, labels, k, tuple(modality_counts))
+    within, glob = _modality_pcts(codes, labels, k, categorical_vars)
     return [_test_value(w, g) for w, g in zip(within, glob)]
 
 
@@ -87,11 +83,11 @@ def describe_clusters(d: Dataset, labels: np.ndarray, k: int) -> tuple[ClusterPr
 
     Quartiles use linear interpolation between order statistics; variance
     uses the n-1 denominator.  Missing continuous entries are excluded per
-    statistic, not per row.
+    statistic, not per row.  Its codes were checked when the Dataset was built.
     """
     labels = checked_labels(labels, d.n_rows, k)
     p = d.schema.p
-    within, glob = _modality_pcts(d.categorical.codes, labels, k, d.schema.modality_counts)
+    within, glob = _modality_pcts(d.categorical.codes, labels, k, d.schema.categorical_vars)
     tv_tables = [_test_value(w, g) for w, g in zip(within, glob)]
 
     profiles = []

@@ -182,7 +182,7 @@ class TestCriterion6TestValueIdentity:
 
         dataset, labels = generate(GeneratorSpec.survey_shaped(seed=61, n=2500))
         tables = modality_test_values(
-            dataset.categorical, labels, 5, modality_counts=dataset.schema.modality_counts
+            dataset.categorical, labels, 5, dataset.schema.categorical_vars
         )
         sizes = np.bincount(labels, minlength=5)
         weights = sizes / labels.size

@@ -573,6 +573,21 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error [renormalize] no continuous variable")
         assert sorted(p.name for p in outdir.iterdir()) == ["anova.csv"]
 
+    def test_unknown_allocation_mode_is_refused_before_any_stage(
+        self, data_dir, tmp_path, capsys
+    ):
+        outdir = tmp_path / "run"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(
+            json.dumps(pipeline_config(data_dir, outdir, allocation_mode="greedy"))
+        )
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error [run] {cfg_path}: allocation_mode must be one of "
+            "['argmax', 'sample'], got 'greedy'\n"
+        )
+        assert not outdir.exists()
+
     def test_unknown_config_key_rejected(self, data_dir, tmp_path):
         cfg = pipeline_config(data_dir, tmp_path / "run")
         cfg["typo_key"] = 1
@@ -764,14 +779,27 @@ class TestOneRunPerUnit:
         )
         assert not outdir.exists()
 
-    def test_fit_refuses_fewer_than_two_classes(self, data_dir, tmp_path, capsys):
-        out = tmp_path / "model.json"
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [("fit", ["--classes", "1"], "k must be at least 2 classes, got 1"),
+         ("train", ["--units", "1"], "--units must be at least 2, got 1"),
+         ("train", ["--units", "5", "--macro-units", "1"],
+          "--macro-units must be at least 2, got 1")],
+        ids=["fit-classes", "train-units", "train-macro-units"],
+    )
+    def test_stage_refuses_fewer_than_two_clusters(
+        self, data_dir, tmp_path, capsys, command, flags, message
+    ):
+        out = tmp_path / "artifact.json"
+        inputs = {
+            "fit": ["--categorical", str(data_dir / "categorical.csv"),
+                    "--labels", str(data_dir / "true_labels.csv")],
+            "train": ["--continuous", str(data_dir / "continuous.csv")],
+        }[command]
         rc = main(
-            ["fit", "--categorical", str(data_dir / "categorical.csv"),
-             "--schema", str(data_dir / "schema.json"),
-             "--labels", str(data_dir / "true_labels.csv"), "--classes", "1",
+            [command, *inputs, "--schema", str(data_dir / "schema.json"), *flags,
              "--out", str(out)]
         )
         assert rc == 2
-        assert capsys.readouterr().err == "error [fit] k must be at least 2 classes, got 1\n"
+        assert capsys.readouterr().err == f"error [{command}] {message}\n"
         assert not out.exists()

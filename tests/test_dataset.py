@@ -19,6 +19,7 @@ from somalloc.dataset import (
     DataError,
     Dataset,
     Schema,
+    checked_codes,
     checked_labels,
     csv_field,
     load_categorical,
@@ -434,7 +435,7 @@ def _stored_and_given_arrays(cls):
         return [(LogitModel(2, beta, (("v", ("x", "y")),), diag).beta, beta)]
     if cls is AllocationResult:
         probs, assigned, missing = np.array([[0.25, 0.75]]), np.array([1]), np.array([0])
-        r = AllocationResult(probs, assigned, "argmax", missing)
+        r = AllocationResult(probs, assigned, missing)
         return [(r.probabilities, probs), (r.assigned, assigned),
                 (r.missing_counts, missing)]
     if cls is ContingencyTable:
@@ -464,6 +465,80 @@ def test_labels_that_are_not_integers_are_refused(labels):
     # a cast to int64 would truncate 1.7 to 1 and read booleans as 0 and 1
     with pytest.raises(DataError, match="labels must be integers"):
         checked_labels(np.asarray(labels), 2, 3)
+
+
+@st.composite
+def codes_and_layout(draw):
+    """A layout of 1-4 variables with 2-4 modalities each, a CategoricalTable
+    or array of 0-6 rows of valid codes with up to two cells overwritten by
+    a code in [-3, 5] (>= -1 in a table), and the flag allow_missing."""
+    counts = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    layout = tuple(
+        (f"v{j}", tuple(f"m{i}" for i in range(m))) for j, m in enumerate(counts)
+    )
+    n = draw(st.integers(0, 6))
+    codes = np.array(
+        [[draw(st.integers(0, m - 1)) for m in counts] for _ in range(n)], dtype=np.int64
+    ).reshape(n, len(counts))
+    as_table = draw(st.booleans())
+    if n:
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, len(counts) - 1))
+            codes[i, j] = draw(st.integers(MISSING_CODE if as_table else -3, 5))
+    rows = CategoricalTable(codes) if as_table else codes
+    return rows, codes, layout, draw(st.booleans())
+
+
+class TestCheckedCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(codes_and_layout())
+    def test_refused_exactly_when_a_code_is_outside_the_allowed_set(self, drawn):
+        rows, codes, layout, allow_missing = drawn
+        allowed = [
+            set(range(len(mods))) | ({MISSING_CODE} if allow_missing else set())
+            for _, mods in layout
+        ]
+        bad = [
+            (i, j)
+            for i, row in enumerate(codes.tolist())
+            for j, code in enumerate(row)
+            if code not in allowed[j]
+        ]
+        if not bad:
+            out = checked_codes(rows, layout, allow_missing)
+            assert out.dtype == np.int64
+            assert_array_equal(out, codes)
+            return
+        i, j = bad[0]  # the first in row-major order
+        name, mods = layout[j]
+        if codes[i, j] == MISSING_CODE:
+            message = "missing categorical value (not allowed in the learning base)"
+        else:
+            message = f"code {codes[i, j]} is not in [0, {len(mods)})"
+        with pytest.raises(DataError) as exc:
+            checked_codes(rows, layout, allow_missing)
+        assert str(exc.value) == f"row {i + 1}, variable {name!r}: {message}"
+
+    @pytest.mark.parametrize("codes", [[[0], [1.7]], [[0.0], [1.0]], [[True], [False]]],
+                             ids=str)
+    def test_codes_that_are_not_integers_are_refused(self, codes):
+        layout = (("v", ("a", "b")),)
+        with pytest.raises(DataError, match=r"^codes must be integers, got \w+ values$"):
+            checked_codes(np.asarray(codes), layout, allow_missing=True)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 3), (1, 2, 2)], ids=str)
+    def test_one_column_per_variable_is_required(self, shape):
+        layout = (("u", ("a", "b")), ("v", ("x", "y")))
+        with pytest.raises(DataError, match="need one column per variable$"):
+            checked_codes(np.zeros(shape, dtype=np.int64), layout, allow_missing=True)
+
+
+def test_save_categorical_refuses_a_code_past_the_modalities(housing_schema, tmp_path):
+    table = CategoricalTable(np.array([[0, 1], [MISSING_CODE, 3]]))
+    path = tmp_path / "categorical.csv"
+    with pytest.raises(DataError, match=r"^row 2, variable 'town': code 3 is not in \[0, 3\)$"):
+        save_categorical(table, housing_schema, path)
+    assert not path.exists()
 
 
 def test_only_dataset_imports_csv_or_json():
@@ -652,9 +727,7 @@ def test_writers_keep_their_bytes(tmp_path):
     codes[np.random.default_rng(1).random(codes.shape) < 0.1] = MISSING_CODE
     probs = np.random.default_rng(2).random((300, 4))
     probs /= probs.sum(axis=1, keepdims=True)
-    result = AllocationResult(
-        probs, probs.argmax(axis=1), "sample", (codes == MISSING_CODE).sum(axis=1)
-    )
+    result = AllocationResult(probs, probs.argmax(axis=1), (codes == MISSING_CODE).sum(axis=1))
     save_continuous(data.continuous, data.schema, tmp_path / "continuous.csv")
     save_categorical(CategoricalTable(codes), data.schema, tmp_path / "categorical.csv")
     save_labels(labels, tmp_path / "labels.csv")

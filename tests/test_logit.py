@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from somalloc.allocation import allocate
 from somalloc.dataset import MISSING_CODE
 from somalloc.logit import (
     _BLOCK_ROWS,
@@ -98,8 +99,19 @@ class TestEncoding:
         assert encode_one([0] * 10, spec).shape == (33,)
 
     def test_invalid_modality_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"^row 1, variable 'v': code 5 is not in \[0, 2\)$"):
             encode_one([5], binary_spec())
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda rows: encode_rows(rows, binary_spec()),
+         lambda rows: allocate(make_model(np.zeros((1, 2)), binary_spec(), 2), rows)],
+        ids=["encode_rows", "allocate"],
+    )
+    def test_float_codes_are_refused(self, call):
+        # a cast to int64 would read 1.7 and 0.2 as modalities 1 and 0
+        with pytest.raises(ValueError, match="^codes must be integers, got float64 values$"):
+            call(np.array([[1.7], [0.2]]))
 
     def test_encode_rows_matches_encode(self):
         rng = np.random.default_rng(0)
@@ -222,6 +234,31 @@ class TestFit:
         with pytest.raises(ValueError, match=f"^k must be at least 2 classes, got {k}$"):
             fit_logit(rows, np.zeros(3, dtype=int), k, binary_spec())
 
+    @pytest.mark.parametrize(
+        "field, value", [("tol", -1e-8), ("max_iter", -3), ("ridge", -1.0)]
+    )
+    def test_negative_settings_are_refused_by_name(self, field, value):
+        rows, labels = cell_rows(5, 3, 2, 6)
+        with pytest.raises(ValueError, match=rf"^{field} must be non-negative, got {value}$"):
+            fit_logit(rows, labels, 2, binary_spec(), **{field: value})
+
+    @pytest.mark.parametrize("settings", [{"max_iter": 0}, {"tol": 0.0, "max_iter": 5}])
+    def test_zero_iterations_or_tolerance_return_an_unconverged_fit(self, settings):
+        rows, labels = cell_rows(5, 3, 2, 6)
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            model = fit_logit(rows, labels, 2, binary_spec(), **settings)
+        assert not model.diagnostics.converged
+        assert model.diagnostics.iterations == settings["max_iter"]
+
+    def test_blank_code_in_learning_base_is_refused(self):
+        rows = np.array([[0], [1], [MISSING_CODE], [1]])
+        with pytest.raises(
+            ValueError,
+            match=r"^row 3, variable 'v': missing categorical value "
+                  r"\(not allowed in the learning base\)$",
+        ):
+            fit_logit(rows, np.array([0, 1, 0, 1]), 2, binary_spec())
+
     def test_class_absent_from_labels_rejected(self):
         rows = np.array([[0], [1], [0]])
         with pytest.raises(ValueError, match="absent"):
@@ -294,7 +331,7 @@ class TestFit:
         # the bad row is the 7th of the input but the 3rd distinct pattern
         rows = np.array([[0], [1], [0], [1], [0], [1], [5], [0]])
         labels = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-        with pytest.raises(ValueError, match="^row 7, variable 'v': modality index 5"):
+        with pytest.raises(ValueError, match=r"^row 7, variable 'v': code 5 is not in \[0, 2\)$"):
             fit_logit(rows, labels, 2, binary_spec())
 
     def test_reference_relabeling_preserves_probabilities(self):

@@ -16,6 +16,13 @@ from somalloc.profiles import (
 from conftest import make_dataset
 
 
+def layout(*counts):
+    """A ``(name, modalities)`` layout: variable vj with counts[j] modalities."""
+    return tuple(
+        (f"v{j}", tuple(f"m{i}" for i in range(m))) for j, m in enumerate(counts)
+    )
+
+
 def random_dataset(seed, n=200, k=4):
     rng = np.random.default_rng(seed)
     labels = rng.integers(k, size=n)
@@ -35,7 +42,7 @@ class TestTestValues:
         rng = np.random.default_rng(0)
         codes = rng.integers(3, size=(50, 1))
         tables = modality_test_values(
-            CategoricalTable(codes), np.zeros(50, dtype=int), 1, (3,)
+            CategoricalTable(codes), np.zeros(50, dtype=int), 1, layout(3)
         )
         present = np.bincount(codes[:, 0], minlength=3) > 0
         assert_allclose(tables[0][0, present], 1.0)
@@ -47,36 +54,41 @@ class TestTestValues:
         labels = np.repeat([0, 1, 2, 3], 25)
         codes[50:57, 0] = 0  # 7 of the 25 rows in cluster 2
         codes[0:3, 0] = 0  # 3 more elsewhere, 10 in total
-        tables = modality_test_values(CategoricalTable(codes), labels, 4, (2,))
+        tables = modality_test_values(CategoricalTable(codes), labels, 4, layout(2))
         assert tables[0][2, 0] == pytest.approx(2.8)
 
     def test_uniform_distribution_gives_ones(self):
         # every cluster sees each modality in identical proportion
         labels = np.repeat([0, 1, 2], 30)
         codes = np.tile(np.repeat([0, 1, 2], 10), 3)[:, None]
-        tables = modality_test_values(CategoricalTable(codes), labels, 3, (3,))
+        tables = modality_test_values(CategoricalTable(codes), labels, 3, layout(3))
         assert_allclose(tables[0], 1.0)
 
     def test_absent_modality_is_nan_not_zero_division(self):
         codes = np.zeros((10, 1), dtype=np.int64)  # modality 1 never occurs
         labels = np.repeat([0, 1], 5)
-        tables = modality_test_values(CategoricalTable(codes), labels, 2, (2,))
+        tables = modality_test_values(CategoricalTable(codes), labels, 2, layout(2))
         assert np.isnan(tables[0][:, 1]).all()
         assert_allclose(tables[0][:, 0], 1.0)
 
     def test_empty_cluster_rows_are_nan(self):
         codes = np.zeros((6, 1), dtype=np.int64)
         labels = np.zeros(6, dtype=int)
-        tables = modality_test_values(CategoricalTable(codes), labels, 3, (2,))
+        tables = modality_test_values(CategoricalTable(codes), labels, 3, layout(2))
         assert np.isnan(tables[0][1]).all()
         assert np.isnan(tables[0][2]).all()
 
-    @pytest.mark.parametrize("code", [MISSING_CODE, 2])
-    def test_code_outside_declared_modalities_is_refused(self, code):
+    @pytest.mark.parametrize(
+        "code, message",
+        [(MISSING_CODE, r"missing categorical value \(not allowed in the learning base\)$"),
+         (2, r"code 2 is not in \[0, 2\)$")],
+        ids=["blank", "past-the-modalities"],
+    )
+    def test_code_outside_declared_modalities_is_refused(self, code, message):
         # np.add.at would count the missing-cell code -1 as the last modality
         codes = np.array([[0], [1], [code], [code]])
-        with pytest.raises(DataError, match=rf"^row 2, variable 0: code {code} is not in"):
-            modality_test_values(CategoricalTable(codes), np.array([0, 0, 1, 1]), 2, (2,))
+        with pytest.raises(DataError, match=rf"^row 3, variable 'v0': {message}"):
+            modality_test_values(CategoricalTable(codes), np.array([0, 0, 1, 1]), 2, layout(2))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
@@ -86,7 +98,7 @@ class TestTestValues:
         k = int(rng.integers(1, 6))
         labels = rng.integers(k, size=n)
         codes = rng.integers(4, size=(n, 2))
-        tables = modality_test_values(CategoricalTable(codes), labels, k, (4, 4))
+        tables = modality_test_values(CategoricalTable(codes), labels, k, layout(4, 4))
         sizes = np.bincount(labels, minlength=k)
         weights = sizes / n
         for j in range(2):
