@@ -1,12 +1,12 @@
 """Benchmark the two clustering routes on survey-shaped synthetic data.
 
-For each seed: generate an 8809-row population with 5 planted clusters and
-run the full pipeline twice (direct 5-unit map vs 20-unit map reduced to 5
-macro clusters).  Each run's exact and correct rates are printed next to
-their chance levels: the agreement expected from the margins of its
-contingency table alone, for exact and for neighbouring (|i-j| <= 1)
-clusters, as in Cohen's weighted kappa.  Prints per-seed rates and a
-summary.
+For each seed: generate an 8809-row population with 5 planted clusters,
+write it as CSV and run the full pipeline on those files twice (direct
+5-unit map vs 20-unit map reduced to 5 macro clusters).  Each run's exact
+and correct rates are printed next to their chance levels: the agreement
+expected from the margins of its contingency table alone, for exact and
+for neighbouring (|i-j| <= 1) clusters, as in Cohen's weighted kappa.
+Prints per-seed rates and a summary.
 
 Usage:
     python scripts/survey_benchmark.py --seeds 1 2 3 4 5 --outdir /tmp/bench
@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from somalloc.dataset import save_dataset
 from somalloc.pipeline import PipelineConfig, run_pipeline
 from somalloc.synth import GeneratorSpec, generate
 
@@ -31,11 +32,11 @@ def chance_rates(contingency_path):
     return exact, exact + np.trace(expected, 1) + np.trace(expected, -1)
 
 
-def run_route(dataset, seed, outdir, method):
+def run_route(data_dir, seed, outdir, method):
     cfg = PipelineConfig(
-        continuous_path="",
-        categorical_path="",
-        schema_path="",
+        continuous_path=str(data_dir / "continuous.csv"),
+        categorical_path=str(data_dir / "categorical.csv"),
+        schema_path=str(data_dir / "schema.json"),
         outdir=str(outdir),
         seed=seed,
         test_count=409,
@@ -43,7 +44,7 @@ def run_route(dataset, seed, outdir, method):
         units=20 if method == "c1" else 5,
         macro_units=5,
     )
-    return run_pipeline(cfg, dataset=dataset)
+    return run_pipeline(cfg)
 
 
 def main():
@@ -62,9 +63,13 @@ def main():
     for seed in args.seeds:
         spec = GeneratorSpec.survey_shaped(seed=seed, n=args.n, dependence=args.dependence)
         dataset, _ = generate(spec)
+        data_dir = base / f"seed{seed}_data"
+        data_dir.mkdir(parents=True, exist_ok=True)
+        dataset.schema.save(data_dir / "schema.json")
+        save_dataset(dataset, data_dir / "continuous.csv", data_dir / "categorical.csv")
         for method in ("c2", "c1"):
             outdir = base / f"seed{seed}_{method}"
-            ev = run_route(dataset, seed, outdir, method)["evaluation"]
+            ev = run_route(data_dir, seed, outdir, method)["evaluation"]
             exact0, correct0 = chance_rates(outdir / "contingency.csv")
             rows.append((method, ev["exact_rate"] - exact0, ev["correct_rate"] - correct0))
             print(

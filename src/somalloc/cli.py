@@ -4,8 +4,10 @@ Stages hand data off through files (CSV/JSON), so any stage can be run and
 tested in isolation.  Each subcommand parses its flags and calls the stage
 function ``run`` calls, so the chain ``select-vars`` → ``train`` →
 ``label`` → ``describe`` → ``fit`` → ``allocate`` → ``label`` →
-``evaluate`` writes ``run``'s files byte for byte.  Exit code 0 on
-success; failures print a stage-tagged message and return a nonzero code.
+``evaluate`` writes ``run``'s files byte for byte for any valid config:
+each config field but ``outdir`` is a flag with the field's default
+(``method: "c1"`` is ``train --macro-units``).  Exit code 0 on success;
+failures print a stage-tagged message and return a nonzero code.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from .pipeline import (
     train_clustering,
 )
 from .synth import GeneratorSpec, generate
+
+# a flag that sets a PipelineConfig field takes the field's default
+_DEFAULT = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
 
 
 def _cmd_synth(args) -> int:
@@ -203,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--continuous", required=True)
     p.add_argument("--categorical", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--threshold", type=float, default=0.08)
+    p.add_argument("--threshold", type=float, default=_DEFAULT["threshold"])
     p.add_argument("--test-count", type=int, required=True,
                    help="rows drawn into the test part of the reduced base")
     p.add_argument("--seed", type=_seed, default=0)
@@ -213,11 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the 1-d map and split it into macro clusters")
     p.add_argument("--continuous", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--units", type=int, required=True)
+    p.add_argument("--units", type=int, default=_DEFAULT["units"])
     p.add_argument("--macro-units", type=int,
                    help="split the string into this many contiguous macro clusters "
                         "(default: --units, one per unit)")
-    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--epochs", type=int, default=_DEFAULT["epochs"])
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
@@ -242,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--ridge", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=_DEFAULT["tol"])
+    p.add_argument("--max-iter", type=int, default=_DEFAULT["max_iter"])
+    p.add_argument("--ridge", type=float, default=_DEFAULT["ridge"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 
@@ -252,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--categorical", required=True,
                    help="new individuals, read against the model's variables and modalities")
-    p.add_argument("--mode", choices=allocation.MODES, default="argmax")
+    p.add_argument("--mode", choices=allocation.MODES, default=_DEFAULT["allocation_mode"])
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_allocate)

@@ -36,11 +36,19 @@ def read_only(arr, dtype=None) -> np.ndarray:
     return out
 
 
+def of_kind(values, kinds: str, what: str) -> np.ndarray:
+    """``values`` as an array, refused with ``what`` unless it is empty or
+    its dtype is of a kind in ``kinds`` (``"iu"`` integers, ``"b"``
+    booleans): no value is truncated or read as true."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in kinds:
+        raise DataError(f"{what}, got {values.dtype} values")
+    return values
+
+
 def checked_labels(labels, n_rows: int, k: int) -> np.ndarray:
     """``labels`` as int64, after checking one integer label per row, in [0, k)."""
-    labels = np.asarray(labels)
-    if labels.size and labels.dtype.kind not in "iu":
-        raise DataError(f"labels must be integers, got {labels.dtype} values")
+    labels = of_kind(labels, "iu", "labels must be integers")
     if labels.shape != (n_rows,):
         raise DataError(
             f"{labels.size} labels for {n_rows} rows: need exactly one label per row"
@@ -55,9 +63,8 @@ def checked_codes(rows, categorical_vars, allow_missing: bool) -> np.ndarray:
     checking one integer code per variable of the ``(name, modalities)``
     layout, each in [0, m_j) or, with ``allow_missing``, MISSING_CODE.  The
     first bad cell in row-major order is named, its row 1-based."""
-    codes = rows.codes if isinstance(rows, CategoricalTable) else np.asarray(rows)
-    if codes.size and codes.dtype.kind not in "iu":
-        raise DataError(f"codes must be integers, got {codes.dtype} values")
+    codes = rows.codes if isinstance(rows, CategoricalTable) else rows
+    codes = of_kind(codes, "iu", "codes must be integers")
     if codes.ndim != 2 or codes.shape[1] != len(categorical_vars):
         raise DataError(f"codes of shape {codes.shape}: need one column per variable")
     counts = np.array([len(mods) for _, mods in categorical_vars])
@@ -195,7 +202,8 @@ class ContinuousTable:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        observed = read_only(self.observed, bool)
+        observed = of_kind(self.observed, "b", "observed mask must be boolean")
+        observed = read_only(observed, bool)
         if values.ndim != 2 or values.shape != observed.shape:
             raise DataError("values and observed mask must be matching 2-d arrays")
         if values.shape[0] and not observed.any(axis=1).all():
@@ -224,7 +232,7 @@ class CategoricalTable:
     codes: np.ndarray
 
     def __post_init__(self):
-        codes = read_only(self.codes, np.int64)
+        codes = read_only(of_kind(self.codes, "iu", "codes must be integers"), np.int64)
         if codes.ndim != 2:
             raise DataError("codes must be a 2-d array")
         if codes.size and codes.min() < MISSING_CODE:
@@ -254,8 +262,13 @@ class Dataset:
             raise DataError("continuous column count does not match schema")
         checked_codes(self.categorical, self.schema.categorical_vars, allow_missing=False)
         if self.schema.compositional and self.continuous.n_rows:
+            values = self.continuous.values
+            if values.min() < 0.0:
+                row, col = np.argwhere(values < 0.0)[0]
+                name, share = self.schema.continuous_names[col], float(values[row, col])
+                raise DataError(f"row {row + 1}, variable {name!r}: share {share!r} is negative")
             full = self.continuous.observed.all(axis=1)
-            sums = self.continuous.values[full].sum(axis=1)
+            sums = values[full].sum(axis=1)
             bad = np.flatnonzero(np.abs(sums - COMPOSITION_TOTAL) > COMPOSITION_ATOL)
             if bad.size:
                 row = int(np.flatnonzero(full)[bad[0]])

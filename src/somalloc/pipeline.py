@@ -4,18 +4,19 @@ fit, allocate, score.
 Each stage's logic lives here once: ``run_pipeline`` is the composition of
 the stage functions below, and each CLI subcommand parses its flags and
 calls the same function (fit and allocate are one library call plus a
-save, which both callers make directly).  Every stage writes its artifact
-to the output directory, so the stage-by-stage CLI chain writes ``run``'s
-files byte for byte.  A stage failure aborts the run with the stage name
-attached; artifacts written so far are kept.  Reports are plain JSON with
-sorted keys and shortest round-trip float formatting, so two runs with the
-same config produce byte-identical files.
+save, which both callers make directly).  ``run_pipeline`` reads only the
+config's paths, and every other ``PipelineConfig`` field but ``outdir`` is
+a flag of the chain (see ``cli``), so the chain writes ``run``'s files
+byte for byte for any valid config.  A stage failure aborts the run with
+the stage name attached; artifacts written so far are kept.  Reports are
+plain JSON with sorted keys and shortest round-trip float formatting, so
+two runs with the same config produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from .dataset import (
 
 
 # JSON kind of each field type of PipelineConfig, as annotated
-_JSON_KINDS = {"str": str, "int": int, "float": float, "int | None": int}
+_JSON_KINDS = {"str": str, "int": int, "float": float}
 
 
 class StageError(RuntimeError):
@@ -64,10 +65,6 @@ class PipelineConfig:
     units: int = 5
     macro_units: int = 5
     epochs: int = 10
-    lr_start: float = 0.5
-    lr_end: float = 0.01
-    radius_start: int | None = None
-    radius_end: int = 0
     tol: float = 1e-8
     max_iter: int = 100
     ridge: float = 1e-6
@@ -95,15 +92,10 @@ class PipelineConfig:
         """The number of macro clusters the map's string is split into."""
         return self.macro_units if self.method == "c1" else self.units
 
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        """The config in ``d``, each field checked against its declared type:
-        an absent field keeps its default, and an ``int | None`` one may be
-        null."""
+        """The config in ``d``, each field checked against its declared type;
+        an absent field keeps its default."""
         declared = {f.name: f for f in fields(cls)}
         unknown = set(d) - set(declared)
         if unknown:
@@ -114,7 +106,7 @@ class PipelineConfig:
                 continue
             value = d[name]
             # the seed's type and range are checked together in __post_init__
-            if name != "seed" and not (value is None and f.type.endswith("| None")):
+            if name != "seed":
                 json_field(d, name, _JSON_KINDS[f.type])
             values[name] = value
         return cls(**values)
@@ -213,32 +205,20 @@ def score(assigned, truth, k: int, path) -> allocation.EvaluationSummary:
     return allocation.evaluate(table)
 
 
-def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> dict:
-    """Run every stage and return (and write) the final report.
-
-    A pre-loaded dataset skips the ingestion stage; paths in the config are
-    then only used for provenance.
-    """
+def run_pipeline(cfg: PipelineConfig) -> dict:
+    """Load the learning base from the config's paths, run every stage and
+    return (and write) the final report."""
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    if dataset is None:
-        with _stage("load"):
-            schema = Schema.load(cfg.schema_path)
-            dataset = load_dataset(cfg.continuous_path, cfg.categorical_path, schema)
+    with _stage("load"):
+        schema = Schema.load(cfg.schema_path)
+        dataset = load_dataset(cfg.continuous_path, cfg.categorical_path, schema)
 
     report, train, test = screen(dataset, cfg.threshold, cfg.test_count, cfg.seed, outdir)
 
     with _stage("train"):
-        som_cfg = som.SomConfig(
-            units=cfg.units,
-            epochs=cfg.epochs,
-            lr_start=cfg.lr_start,
-            lr_end=cfg.lr_end,
-            radius_start=cfg.radius_start,
-            radius_end=cfg.radius_end,
-            seed=cfg.seed,
-        )
+        som_cfg = som.SomConfig(units=cfg.units, epochs=cfg.epochs, seed=cfg.seed)
         clustering, qe, labels_train = train_clustering(
             train.continuous,
             train.schema.continuous_names,
@@ -280,8 +260,8 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> dict:
         summary = score(result.assigned, truth, n_clusters, outdir / "contingency.csv")
 
     report_dict = {
-        "version": 1,
-        "config": cfg.to_dict(),
+        "version": 2,
+        "config": asdict(cfg),
         "n_rows": dataset.n_rows,
         "n_train": train.n_rows,
         "n_test": test.n_rows,

@@ -212,17 +212,21 @@ class TestCriterion7EndToEnd:
         for seed in range(1, 6):
             spec = GeneratorSpec.survey_shaped(seed=seed, n=8809, dependence=0.8)
             dataset, _ = generate(spec)
+            data_dir = tmp_path / f"data{seed}"
+            data_dir.mkdir()
+            dataset.schema.save(data_dir / "schema.json")
+            save_dataset(dataset, data_dir / "continuous.csv", data_dir / "categorical.csv")
             cfg = PipelineConfig(
-                continuous_path="",
-                categorical_path="",
-                schema_path="",
+                continuous_path=str(data_dir / "continuous.csv"),
+                categorical_path=str(data_dir / "categorical.csv"),
+                schema_path=str(data_dir / "schema.json"),
                 outdir=str(tmp_path / f"seed{seed}"),
                 seed=seed,
                 test_count=409,
                 method="c2",
                 units=5,
             )
-            rep = run_pipeline(cfg, dataset=dataset)
+            rep = run_pipeline(cfg)
             rate = rep["evaluation"]["correct_rate"]
 
             # permuted-labels baseline: identical pipeline, labels shuffled

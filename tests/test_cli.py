@@ -1,3 +1,6 @@
+import argparse
+import dataclasses
+import inspect
 import json
 import re
 import shutil
@@ -5,10 +8,11 @@ import shutil
 import numpy as np
 import pytest
 
-from somalloc.cli import main
+from somalloc import allocation, logit, varselect
+from somalloc.cli import build_parser, main
 from somalloc.dataset import Schema, load_labels
 from somalloc.pipeline import PipelineConfig, StageError, run_pipeline
-from somalloc.som import load_clustering
+from somalloc.som import SomConfig, load_clustering
 
 
 
@@ -668,17 +672,24 @@ class TestPipelineDeterminism:
 
 class TestChainReproducesRun:
     """The stage-by-stage chain writes the files ``run`` writes, byte for
-    byte, given the flags of ``run``'s config."""
+    byte: the config's settings are the chain's flags, and a setting left
+    out of both takes the same default."""
 
     @pytest.mark.parametrize(
-        "method, units, train_flags",
+        "settings, train_flags",
         # c2's train leaves --macro-units at its default, --units
-        [("c2", 5, []), ("c1", 20, ["--macro-units", "5"])],
-        ids=["c2-5", "c1-20-5"],
+        [({"units": 5, "epochs": 6}, ["--units", "5", "--epochs", "6"]),
+         ({"method": "c1", "units": 20, "macro_units": 5, "epochs": 6},
+          ["--units", "20", "--macro-units", "5", "--epochs", "6"]),
+         ({}, [])],
+        ids=["c2-5", "c1-20-5", "defaults"],
     )
-    def test_chain_writes_runs_files(self, data_dir, tmp_path, method, units, train_flags):
+    def test_chain_writes_runs_files(self, data_dir, tmp_path, settings, train_flags):
         run_dir, chain = tmp_path / "run", tmp_path / "chain"
-        cfg = pipeline_config(data_dir, run_dir, method=method, units=units, macro_units=5)
+        cfg = pipeline_config(data_dir, run_dir)
+        for key in ("method", "units", "epochs"):
+            del cfg[key]
+        cfg.update(settings)
         report = run_pipeline(PipelineConfig.from_dict(cfg))
         k = str(report["n_clusters"])
         schema = ["--schema", str(chain / "reduced_schema.json")]
@@ -689,9 +700,8 @@ class TestChainReproducesRun:
             ["select-vars", "--continuous", cfg["continuous_path"],
              "--categorical", cfg["categorical_path"], "--schema", cfg["schema_path"],
              "--test-count", "200", "--seed", "7", "--outdir", str(chain)],
-            ["train", "--continuous", part["train_continuous"], *schema,
-             "--units", str(units), "--epochs", "6", "--seed", "7",
-             "--out", str(chain / "clustering.json"), *train_flags],
+            ["train", "--continuous", part["train_continuous"], *schema, *train_flags,
+             "--seed", "7", "--out", str(chain / "clustering.json")],
             ["label", *clustering, "--continuous", part["train_continuous"], *schema,
              "--out", str(chain / "train_labels.csv")],
             ["describe", "--continuous", part["train_continuous"],
@@ -803,3 +813,120 @@ class TestOneRunPerUnit:
         assert rc == 2
         assert capsys.readouterr().err == f"error [{command}] {message}\n"
         assert not out.exists()
+
+
+# every PipelineConfig field but the paths, outdir and method, and the chain
+# flags that set it, as (subcommand, option)
+CHAIN_FLAGS = {
+    "seed": [("select-vars", "--seed"), ("train", "--seed"), ("allocate", "--seed")],
+    "test_count": [("select-vars", "--test-count")],
+    "threshold": [("select-vars", "--threshold")],
+    "units": [("train", "--units")],
+    "macro_units": [("train", "--macro-units")],
+    "epochs": [("train", "--epochs")],
+    "tol": [("fit", "--tol")],
+    "max_iter": [("fit", "--max-iter")],
+    "ridge": [("fit", "--ridge")],
+    "allocation_mode": [("allocate", "--mode")],
+}
+# chain defaults that are not the config's, and why
+OWN_DEFAULTS = {
+    # the config requires a seed; the chain's, like the library's, is 0
+    "seed": 0,
+    # a chain says method "c1" by passing --macro-units; without it, train
+    # splits the string into one run per unit, which is "c2"
+    "macro_units": None,
+}
+SCHEDULE_KEYS = ["lr_start", "lr_end", "radius_start", "radius_end"]
+
+
+def chain_flag(subcommand: str, option: str) -> argparse.Action:
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    actions = subparsers.choices[subcommand]._actions
+    return next(a for a in actions if option in a.option_strings)
+
+
+class TestOneRunSurface:
+    """``run`` takes exactly the settings and the inputs the chain takes."""
+
+    def test_every_config_field_has_a_chain_flag_with_its_default(self):
+        settable = [
+            f.name for f in dataclasses.fields(PipelineConfig)
+            if f.name not in ("continuous_path", "categorical_path", "schema_path",
+                              "outdir", "method")
+        ]
+        assert [name for name in settable if name not in CHAIN_FLAGS] == []
+        assert sorted(CHAIN_FLAGS) == sorted(settable)
+        defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+        for name, flags in CHAIN_FLAGS.items():
+            expected = OWN_DEFAULTS.get(name, defaults[name])
+            for subcommand, option in flags:
+                action = chain_flag(subcommand, option)
+                where = f"{subcommand} {option}"
+                if expected is dataclasses.MISSING:
+                    assert action.required, where
+                else:
+                    assert not action.required, where
+                    assert action.default == expected, where
+                    assert type(action.default) is type(expected), where
+
+    def test_library_defaults_are_the_configs(self):
+        config = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+        som_cfg = {f.name: f.default for f in dataclasses.fields(SomConfig)}
+
+        def defaults(fn):
+            return {
+                name: p.default for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not inspect.Parameter.empty
+            }
+
+        assert defaults(varselect.select_variables) == {"threshold": config["threshold"]}
+        assert som_cfg["epochs"] == config["epochs"]
+        assert som_cfg["seed"] == OWN_DEFAULTS["seed"]
+        assert defaults(logit.fit_logit) == {
+            name: config[name] for name in ("tol", "max_iter", "ridge")
+        }
+        assert defaults(allocation.allocate) == {
+            "mode": config["allocation_mode"], "seed": OWN_DEFAULTS["seed"]
+        }
+
+    def test_run_pipeline_takes_only_the_config(self):
+        assert list(inspect.signature(run_pipeline).parameters) == ["cfg"]
+
+    @pytest.mark.parametrize("key, value", zip(SCHEDULE_KEYS, [0.3, 0.01, 1, 0]))
+    def test_removed_schedule_keys_are_refused(self, data_dir, tmp_path, capsys, key, value):
+        cfg_path, outdir = tmp_path / "config.json", tmp_path / "run"
+        cfg_path.write_text(json.dumps(pipeline_config(data_dir, outdir, **{key: value})))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error [run] {cfg_path}: unknown config keys: [{key!r}]\n"
+        )
+        assert not outdir.exists()
+
+    def test_report_is_version_2_and_echoes_every_field(self, data_dir, tmp_path):
+        cfg = PipelineConfig.from_dict(pipeline_config(data_dir, tmp_path))
+        run_pipeline(cfg)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["version"] == 2
+        assert report["config"] == dataclasses.asdict(cfg)
+        assert not set(SCHEDULE_KEYS) & set(report["config"])
+
+    def test_negative_share_is_refused_at_load(self, data_dir, tmp_path, capsys):
+        # a row [.., x + y + 50, -50, ..] keeps its sum of 100
+        lines = (data_dir / "continuous.csv").read_text().splitlines()
+        header, fields = lines[0].split(","), lines[3].split(",")
+        i, j = [k for k, cell in enumerate(fields) if cell][:2]
+        fields[i] = repr(float(fields[i]) + float(fields[j]) + 50.0)
+        fields[j] = "-50.0"
+        lines[3] = ",".join(fields)
+        inputs = tmp_path / "in"
+        shutil.copytree(data_dir, inputs)
+        (inputs / "continuous.csv").write_text("\n".join(lines) + "\n")
+        cfg_path, outdir = tmp_path / "config.json", tmp_path / "run"
+        cfg_path.write_text(json.dumps(pipeline_config(inputs, outdir)))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error [load] row 3, variable {header[j]!r}: share -50.0 is negative\n"
+        )

@@ -183,6 +183,46 @@ class TestLoading:
         with pytest.raises(DataError, match="no observed"):
             ContinuousTable(np.zeros((1, 2)), np.zeros((1, 2), bool))
 
+    @pytest.mark.parametrize(
+        "values, observed",
+        [([[150.0, -50.0, 0.0]], [[True, True, False]]),
+         ([[20.0, 90.0, -10.0]], [[True, True, True]]),
+         ([[50.0, 30.0, 20.0], [-5.0, 0.0, 0.0]], [[True] * 3, [True, False, False]])],
+        ids=["sums-to-100", "full-row", "partial-row"],
+    )
+    def test_compositional_negative_share_rejected(self, housing_schema, values, observed):
+        # a row [150, -50] sums to 100; renormalized over one column, -50
+        # would become +100
+        values = np.array(values)
+        row, col = np.argwhere(values < 0)[0]
+        name, share = housing_schema.continuous_names[col], float(values[row, col])
+        with pytest.raises(DataError) as exc:
+            Dataset(
+                housing_schema,
+                ContinuousTable(values, np.array(observed)),
+                CategoricalTable(np.zeros((len(values), 2), dtype=np.int64)),
+            )
+        assert str(exc.value) == (
+            f"row {row + 1}, variable {name!r}: share {share!r} is negative"
+        )
+
+    @pytest.mark.parametrize("mask", [[[0.0, 0.7]], [[1, 0]]], ids=["fraction", "integer"])
+    def test_observed_mask_that_is_not_boolean_is_refused(self, mask):
+        # a cast to bool would read 0.7 as observed
+        mask = np.array(mask)
+        with pytest.raises(DataError) as exc:
+            ContinuousTable(np.array([[1.0, 2.0]]), mask)
+        assert str(exc.value) == f"observed mask must be boolean, got {mask.dtype} values"
+
+    @pytest.mark.parametrize("codes", [[[1.7], [0.2]], [[0.0], [1.0]], [[True], [False]]],
+                             ids=str)
+    def test_categorical_table_refuses_codes_that_are_not_integers(self, codes):
+        # a cast to int64 would truncate 1.7 to 1 and 0.2 to 0
+        codes = np.array(codes)
+        with pytest.raises(DataError) as exc:
+            CategoricalTable(codes)
+        assert str(exc.value) == f"codes must be integers, got {codes.dtype} values"
+
     def test_label_row_with_extra_field_rejected(self, tmp_path):
         labels = write(tmp_path / "labels.csv", "cluster\n1,5\n2\n")
         with pytest.raises(DataError, match="row 1: expected 1 fields, got 2"):
@@ -391,14 +431,15 @@ class TestSubsetContinuous:
         assert_allclose(out.continuous.values, [[62.5, 37.5]])
 
     def test_non_compositional_drops_untouched(self):
+        # negative values are refused only in compositional data
         schema = Schema(("a", "b"), (("v", ("x", "y")),), compositional=False)
         d = Dataset(
             schema,
-            ContinuousTable(np.array([[3.0, 4.0]]), np.ones((1, 2), bool)),
+            ContinuousTable(np.array([[3.0, -4.0]]), np.ones((1, 2), bool)),
             CategoricalTable(np.array([[0]])),
         )
         out = subset_continuous(d, [1])
-        assert_allclose(out.continuous.values, [[4.0]])
+        assert_allclose(out.continuous.values, [[-4.0]])
 
 
 def test_tables_are_immutable(housing_schema):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from somalloc import som
-from somalloc.dataset import ContinuousTable, DataError
+from somalloc.dataset import ContinuousTable, DataError, save_dataset
 from somalloc.pipeline import PipelineConfig, run_pipeline, train_clustering
 from somalloc.som import (
     Codebook,
@@ -452,15 +452,19 @@ class TestMacroClusterRegressions:
         # the benchmark's alloc-30k base: population seed 1, rows drawn with seed 23
         spec = dataclasses.replace(GeneratorSpec.survey_shaped(seed=1, n=8809), seed=23)
         dataset, _ = generate(spec)
+        dataset.schema.save(tmp_path / "schema.json")
+        save_dataset(dataset, tmp_path / "continuous.csv", tmp_path / "categorical.csv")
         cfg = PipelineConfig(
-            continuous_path="", categorical_path="", schema_path="",
-            outdir=str(tmp_path), seed=23, test_count=409,
+            continuous_path=str(tmp_path / "continuous.csv"),
+            categorical_path=str(tmp_path / "categorical.csv"),
+            schema_path=str(tmp_path / "schema.json"),
+            outdir=str(tmp_path / "run"), seed=23, test_count=409,
             method="c1", units=20, macro_units=5,
         )
-        report = run_pipeline(cfg, dataset=dataset)
+        report = run_pipeline(cfg)
         assert report["n_clusters"] == 5
         assert report["macro_contiguous"] is True
-        labels = np.loadtxt(tmp_path / "train_labels.csv", skiprows=1, dtype=int)
+        labels = np.loadtxt(tmp_path / "run" / "train_labels.csv", skiprows=1, dtype=int)
         assert (np.bincount(labels, minlength=5) > 0).all()
 
     def test_sweep_gives_non_empty_runs_or_fails_at_train(self, tmp_path):
